@@ -110,7 +110,7 @@ StatusOr<data::BooleanTable> CutPasteScheme::PerturbShardSeeded(
   FRAPP_ASSIGN_OR_RETURN(data::BooleanTable out,
                          data::BooleanTable::CreateEmpty(onehot.num_bits()));
   const size_t len = onehot.num_rows();
-  for (size_t i = 0; i < len; ++i) out.AppendRow(0);
+  out.AppendZeroRows(len);
   internal::ForEachSeededChunk(
       len, global_begin, seed, num_threads,
       [&](size_t begin, size_t end, random::Pcg64& rng) {

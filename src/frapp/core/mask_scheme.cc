@@ -66,7 +66,7 @@ StatusOr<data::BooleanTable> MaskScheme::PerturbShardSeeded(
   FRAPP_ASSIGN_OR_RETURN(data::BooleanTable out,
                          data::BooleanTable::CreateEmpty(onehot.num_bits()));
   const size_t len = onehot.num_rows();
-  for (size_t i = 0; i < len; ++i) out.AppendRow(0);
+  out.AppendZeroRows(len);
   const double flip = 1.0 - p_;
   const size_t bits = onehot.num_bits();
   internal::ForEachSeededChunk(

@@ -6,6 +6,25 @@
 namespace frapp {
 namespace data {
 
+namespace {
+
+/// In-place transpose of a 64x64 bit matrix, row r = a[r], column c = bit c:
+/// afterwards bit r of a[c] is the old bit c of a[r]. Six stages swap the
+/// off-diagonal j x j sub-blocks for j = 32, 16, ..., 1 (the recursive
+/// block swap of Hacker's Delight 7-3, with LSB-first columns).
+void Transpose64x64(uint64_t a[64]) {
+  uint64_t mask = 0x00000000ffffffffull;
+  for (size_t j = 32; j != 0; j >>= 1, mask ^= mask << j) {
+    for (size_t k = 0; k < 64; k = ((k | j) + 1) & ~j) {
+      const uint64_t t = ((a[k] >> j) ^ a[k | j]) & mask;
+      a[k | j] ^= t;
+      a[k] ^= t << j;
+    }
+  }
+}
+
+}  // namespace
+
 BooleanVerticalIndex::BooleanVerticalIndex(const BooleanTable& table,
                                            const RowRange& range) {
   FRAPP_CHECK_LE(range.begin, range.end);
@@ -14,7 +33,19 @@ BooleanVerticalIndex::BooleanVerticalIndex(const BooleanTable& table,
   num_bits_ = table.num_bits();
   words_ = (num_rows_ + 63) / 64;
   bits_.assign(num_bits_ * words_, 0);
-  for (size_t i = 0; i < num_rows_; ++i) {
+  // Full 64-row blocks: transpose the block's row words, after which word p
+  // is exactly plane p's word for these rows.
+  const size_t full_blocks = num_rows_ / 64;
+  uint64_t block[64];
+  for (size_t w = 0; w < full_blocks; ++w) {
+    for (size_t r = 0; r < 64; ++r) {
+      block[r] = table.RowBits(range.begin + w * 64 + r);
+    }
+    Transpose64x64(block);
+    for (size_t p = 0; p < num_bits_; ++p) bits_[p * words_ + w] = block[p];
+  }
+  // Tail rows: scatter each row's set bits.
+  for (size_t i = full_blocks * 64; i < num_rows_; ++i) {
     uint64_t row = table.RowBits(range.begin + i);
     const size_t word = i >> 6;
     const uint64_t bit = 1ull << (i & 63);

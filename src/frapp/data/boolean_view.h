@@ -64,7 +64,11 @@ class BooleanTable {
   uint64_t RowBits(size_t i) const { return rows_[i]; }
   void AppendRow(uint64_t bits) { rows_.push_back(bits & mask_); }
 
-  /// Overwrites row i (bulk writers that pre-size with AppendRow(0)).
+  /// Appends n all-zero rows in one allocation, for bulk writers that fill
+  /// rows in place via SetRowBits.
+  void AppendZeroRows(size_t n) { rows_.resize(rows_.size() + n, 0); }
+
+  /// Overwrites row i (bulk writers that pre-size with AppendZeroRows).
   void SetRowBits(size_t i, uint64_t bits) { rows_[i] = bits & mask_; }
 
   bool Get(size_t row, size_t bit) const { return (rows_[row] >> bit) & 1u; }

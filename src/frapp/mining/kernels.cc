@@ -39,6 +39,23 @@ uint64_t IntersectPopcountScalar(const uint64_t* const* maps, size_t k,
   return count;
 }
 
+void TransposeBytesScalar(const uint8_t* col, size_t rows, size_t cardinality,
+                          uint64_t* planes, size_t stride) {
+  // One accumulator word per possible id, so out-of-range ids land in slots
+  // that are never stored. Only the [0, cardinality) slots are stored and
+  // reset per block.
+  uint64_t acc[256] = {};
+  for (size_t w = 0; w * 64 < rows; ++w) {
+    const uint8_t* block = col + w * 64;
+    const size_t n = rows - w * 64 < 64 ? rows - w * 64 : 64;
+    for (size_t r = 0; r < n; ++r) acc[block[r]] |= 1ull << r;
+    for (size_t c = 0; c < cardinality; ++c) {
+      planes[c * stride + w] = acc[c];
+      acc[c] = 0;
+    }
+  }
+}
+
 // ------------------------------------------------------------- harley-seal --
 //
 // Carry-save-adder accumulation (Harley-Seal, as popularized by Mula,
@@ -177,6 +194,30 @@ __attribute__((target("avx2"))) uint64_t IntersectPopcountAvx2(
   return count;
 }
 
+__attribute__((target("avx2"))) void TransposeBytesAvx2(const uint8_t* col,
+                                                        size_t rows,
+                                                        size_t cardinality,
+                                                        uint64_t* planes,
+                                                        size_t stride) {
+  const size_t blocks = rows / 64;
+  for (size_t w = 0; w < blocks; ++w) {
+    const __m256i lo =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + w * 64));
+    const __m256i hi =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(col + w * 64 + 32));
+    for (size_t c = 0; c < cardinality; ++c) {
+      const __m256i id = _mm256_set1_epi8(static_cast<char>(c));
+      const uint32_t lo_bits = static_cast<uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(lo, id)));
+      const uint32_t hi_bits = static_cast<uint32_t>(
+          _mm256_movemask_epi8(_mm256_cmpeq_epi8(hi, id)));
+      planes[c * stride + w] = (static_cast<uint64_t>(hi_bits) << 32) | lo_bits;
+    }
+  }
+  TransposeBytesScalar(col + blocks * 64, rows - blocks * 64, cardinality,
+                       planes + blocks, stride);
+}
+
 // ------------------------------------------------------------------ avx512 --
 //
 // Native per-lane popcount (vpopcntq, AVX-512 VPOPCNTDQ) over 512-bit AND
@@ -237,20 +278,35 @@ IntersectPopcountAvx512(const uint64_t* const* maps, size_t k, size_t words) {
 
 #pragma GCC diagnostic pop
 
+__attribute__((target("avx512f,avx512bw"))) void TransposeBytesAvx512(
+    const uint8_t* col, size_t rows, size_t cardinality, uint64_t* planes,
+    size_t stride) {
+  const size_t blocks = rows / 64;
+  for (size_t w = 0; w < blocks; ++w) {
+    const __m512i ids = _mm512_loadu_si512(col + w * 64);
+    for (size_t c = 0; c < cardinality; ++c) {
+      planes[c * stride + w] = static_cast<uint64_t>(
+          _mm512_cmpeq_epi8_mask(ids, _mm512_set1_epi8(static_cast<char>(c))));
+    }
+  }
+  TransposeBytesScalar(col + blocks * 64, rows - blocks * 64, cardinality,
+                       planes + blocks, stride);
+}
+
 #endif  // FRAPP_KERNELS_X86
 
-constexpr KernelTable kScalarTable = {IntersectPopcountScalar,
-                                      PopcountRangeScalar,
-                                      KernelLevel::kScalar};
-constexpr KernelTable kHarleySealTable = {IntersectPopcountHarleySeal,
-                                          PopcountRangeHarleySeal,
-                                          KernelLevel::kHarleySeal};
+constexpr KernelTable kScalarTable = {
+    IntersectPopcountScalar, PopcountRangeScalar, TransposeBytesScalar,
+    KernelLevel::kScalar};
+constexpr KernelTable kHarleySealTable = {
+    IntersectPopcountHarleySeal, PopcountRangeHarleySeal, TransposeBytesScalar,
+    KernelLevel::kHarleySeal};
 #ifdef FRAPP_KERNELS_X86
 constexpr KernelTable kAvx2Table = {IntersectPopcountAvx2, PopcountRangeAvx2,
-                                    KernelLevel::kAvx2};
-constexpr KernelTable kAvx512Table = {IntersectPopcountAvx512,
-                                      PopcountRangeAvx512,
-                                      KernelLevel::kAvx512};
+                                    TransposeBytesAvx2, KernelLevel::kAvx2};
+constexpr KernelTable kAvx512Table = {
+    IntersectPopcountAvx512, PopcountRangeAvx512, TransposeBytesAvx512,
+    KernelLevel::kAvx512};
 #endif
 
 /// The resolved default table (dispatch decision applied once).
@@ -306,7 +362,9 @@ bool KernelLevelSupported(KernelLevel level) {
   const common::CpuFeatures& features = common::GetCpuInfo().features;
   if (level == KernelLevel::kAvx2) return features.avx2;
   if (level == KernelLevel::kAvx512) {
-    return features.avx512f && features.avx512vpopcntdq;
+    // The transpose needs AVX-512BW byte compares; every VPOPCNTDQ part
+    // except Knights Mill has them, and those fall back to avx2.
+    return features.avx512f && features.avx512vpopcntdq && features.avx512bw;
   }
 #endif
   return false;

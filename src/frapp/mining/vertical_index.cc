@@ -25,17 +25,17 @@ VerticalIndex VerticalIndex::BuildRange(const data::CategoricalTable& table,
     index.offsets_[j] = items;
     items += schema.Cardinality(j);
   }
-  index.bits_.assign(items * index.words_, 0);
+  index.bits_.resize(items * index.words_);
 
-  // Attributes write disjoint bitmap ranges, so parallelizing over them is
-  // race-free and bit-identical for every worker count.
+  // Each attribute's column transposes into its own disjoint run of planes
+  // (the kernel writes every word of them), so parallelizing over
+  // attributes is race-free and bit-identical for every worker count.
+  const TransposeBytesFn transpose = ActiveKernels().transpose_bytes;
   common::ParallelForChunks(m, num_threads, [&](size_t j) {
-    const uint8_t* col = table.Column(j).data() + range.begin;
-    uint64_t* base = index.bits_.data() + index.offsets_[j] * index.words_;
-    for (size_t i = 0; i < index.num_rows_; ++i) {
-      base[static_cast<size_t>(col[i]) * index.words_ + (i >> 6)] |=
-          1ull << (i & 63);
-    }
+    transpose(table.Column(j).data() + range.begin, index.num_rows_,
+              schema.Cardinality(j),
+              index.bits_.data() + index.offsets_[j] * index.words_,
+              index.words_);
   });
   return index;
 }

@@ -1,13 +1,13 @@
 // PrefetchingTableSource: hide ingest latency behind compute.
 //
-// The pipeline's consumer loop is strictly alternating without this: pull a
-// batch of shards from the (single-threaded) source, fan perturb+index out
-// over the workers, pull the next batch — so CSV parse latency, which
-// dominates the streaming ingest path, serializes with compute. This
-// decorator runs the inner source on one or more PARSER threads that stay a
-// bounded number of shards ahead of the consumer through an ordered queue:
-// the next shard(s) parse while the ThreadPool perturbs and counts the
-// current one.
+// Without this, the pipeline's workers parse too: each takes its turn
+// pulling the next shard from the (single-threaded) source, so while one
+// parses a CSV shard, which dominates the streaming ingest path, it is not
+// perturbing, and a slow parse leaves the others queued behind the pull
+// lock. This decorator runs the inner source on one or more PARSER threads
+// that stay a bounded number of shards ahead of the consumer through an
+// ordered queue: the next shard(s) parse while the workers perturb and
+// index theirs.
 //
 // Parser count:
 //  - With 1 parser (or an inner source without SupportsParallelDecode) the

@@ -2,7 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <deque>
+#include <iterator>
 #include <memory>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -25,6 +29,115 @@ void RaiseToAtLeast(std::atomic<size_t>& peak, size_t value) {
          !peak.compare_exchange_weak(observed, value,
                                      std::memory_order_relaxed)) {
   }
+}
+
+/// The overlapped shard stage: perturbs and indexes every shard of `source`
+/// with `build(shard, inner_threads, &index)` on up to `num_threads`
+/// workers, and returns the indexes in pull order.
+///
+/// Each worker loops: pull the next non-empty shard under `mu`, tagged with
+/// its pull sequence number, then build its index outside the lock while
+/// other workers pull and build theirs. A worker holds one shard at a time,
+/// so at most `num_threads` shards are in flight, and the source is still
+/// pulled by one thread at a time. Indexes are filed by sequence number, so
+/// the merge order is the pull order whatever the scheduling. A failure —
+/// a pull or a build — closes the pulls; every shard pulled before it still
+/// finishes, so the error of the lowest failing sequence number wins for
+/// every thread count.
+///
+/// Two shards are pulled before the workers are dispatched: a source that
+/// yields only one gets it built inline with the whole thread budget for
+/// the shard's own chunk-parallel perturbation and index build. With
+/// several shards the dispatch occupies the pool, so builds get one thread.
+template <typename Index, typename BuildFn>
+StatusOr<std::vector<Index>> RunShardStage(TableSource& source,
+                                           size_t num_threads,
+                                           const BuildFn& build,
+                                           PipelineStats* stats) {
+  struct Pulled {
+    PulledShard shard;
+    size_t seq;
+  };
+  std::mutex mu;
+  std::deque<Index> indexes;   // one per pulled shard, by sequence number
+  std::deque<Pulled> ahead;    // pulled before the dispatch, not yet built
+  bool pulls_closed = false;   // source exhausted, or a pull/build failed
+  size_t error_seq = SIZE_MAX;
+  Status error;
+
+  // Both require `mu` held.
+  const auto fail_locked = [&](size_t seq, Status status) {
+    if (seq < error_seq) {
+      error_seq = seq;
+      error = std::move(status);
+    }
+    pulls_closed = true;
+  };
+  const auto pull_locked = [&](Pulled* out) -> bool {
+    while (!pulls_closed) {
+      const uint64_t pull_start = common::NowNanos();
+      StatusOr<bool> more = source.NextShard(&out->shard);
+      stats->source_wait_nanos += common::NowNanos() - pull_start;
+      if (!more.ok()) {
+        fail_locked(indexes.size(), more.status());
+      } else if (!*more) {
+        pulls_closed = true;
+      } else if (out->shard.view.size() != 0) {
+        out->seq = indexes.size();
+        indexes.emplace_back();
+        stats->total_rows += out->shard.view.size();
+        stats->max_shard_rows =
+            std::max(stats->max_shard_rows, out->shard.view.size());
+        ++stats->num_shards;
+        return true;
+      }
+    }
+    return false;
+  };
+  const auto worker = [&](size_t inner_threads) {
+    while (true) {
+      Pulled next;
+      Index* slot;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!ahead.empty()) {
+          next = std::move(ahead.front());
+          ahead.pop_front();
+        } else if (!pull_locked(&next)) {
+          return;
+        }
+        // deque::emplace_back never moves existing elements, so the slot
+        // stays valid while other workers append theirs.
+        slot = &indexes[next.seq];
+      }
+      Status status = build(next.shard, inner_threads, slot);
+      if (!status.ok()) {
+        std::lock_guard<std::mutex> lock(mu);
+        fail_locked(next.seq, std::move(status));
+        return;
+      }
+    }
+  };
+
+  const size_t threads = std::max<size_t>(
+      1, common::ResolveThreadCount(num_threads));
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    Pulled pulled;
+    while (ahead.size() < std::min<size_t>(2, threads) &&
+           pull_locked(&pulled)) {
+      ahead.push_back(std::move(pulled));
+    }
+  }
+  if (ahead.size() <= 1 && pulls_closed) {
+    worker(num_threads);
+  } else {
+    common::ParallelForChunks(threads, threads,
+                              [&](size_t) { worker(/*inner_threads=*/1); });
+  }
+  if (error_seq != SIZE_MAX) return error;
+  return std::vector<Index>(std::make_move_iterator(indexes.begin()),
+                            std::make_move_iterator(indexes.end()));
 }
 
 }  // namespace
@@ -71,97 +184,61 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
                                    ? sizeof(uint64_t)
                                    : source.schema().num_attributes();
 
-  // Stream the source in batches of up to `batch` shards: shards are pulled
-  // sequentially (sources are single-threaded parsers/generators), then each
-  // batch fans perturb + index out over the workers. A task perturbs its
-  // shard, transposes it into a local vertical index, and drops both the
-  // perturbed rows and (for streaming sources) the input buffer before
-  // returning, so at most one batch of rows is ever alive at once. Every
-  // task is a pure function of its shard's global position (global
+  // Every build is a pure function of its shard's global position (global
   // seeded-chunk RNG streams) and counts merge as integer sums, so the
   // result is bit-identical for any source kind, shard count and thread
-  // count.
-  std::vector<mining::VerticalIndex> cat_indexes;
-  std::vector<data::BooleanVerticalIndex> bool_indexes;
+  // count. A build drops the source buffer once the shard is perturbed and
+  // the perturbed rows once they are indexed.
   std::atomic<size_t> inflight_bytes{0};
   std::atomic<size_t> peak_bytes{0};
-  const size_t batch = std::max<size_t>(
-      1, common::ResolveThreadCount(options_.num_threads));
-  std::vector<PulledShard> pending;
-  pending.reserve(batch);
-  bool exhausted = false;
-  while (!exhausted) {
-    pending.clear();
-    while (pending.size() < batch) {
-      PulledShard shard;
-      const uint64_t pull_start = common::NowNanos();
-      StatusOr<bool> more = source.NextShard(&shard);
-      result.stats.source_wait_nanos += common::NowNanos() - pull_start;
-      FRAPP_RETURN_IF_ERROR(more.status());
-      if (!*more) {
-        exhausted = true;
-        break;
-      }
-      if (shard.view.size() == 0) continue;
-      pending.push_back(std::move(shard));
-    }
-    if (pending.empty()) break;
-
-    const size_t base = boolean_shards ? bool_indexes.size() : cat_indexes.size();
-    if (boolean_shards) {
-      bool_indexes.resize(base + pending.size());
-    } else {
-      cat_indexes.resize(base + pending.size());
-    }
-    std::vector<Status> statuses(pending.size());
-    // With several shards in the batch the outer dispatch occupies the
-    // pool's single job slot, so nested parallel calls would run inline
-    // anyway — give shard tasks one thread. A one-shard batch runs inline at
-    // the outer level instead, so the full thread budget flows into the
-    // shard's own chunk-parallel perturbation and index build.
-    const size_t inner_threads =
-        pending.size() == 1 ? options_.num_threads : 1;
-    common::ParallelForChunks(
-        pending.size(), options_.num_threads, [&](size_t i) {
-          PulledShard& shard = pending[i];
-          const size_t shard_bytes = shard.view.size() * bytes_per_row;
-          if (boolean_shards) {
-            StatusOr<data::BooleanTable> perturbed = mechanism.PerturbBooleanShard(
-                shard.view, options_.perturb_seed, inner_threads);
-            shard.owned.reset();  // source buffer dropped once perturbed
-            if (!perturbed.ok()) {
-              statuses[i] = perturbed.status();
-              return;
-            }
-            RaiseToAtLeast(peak_bytes,
-                           inflight_bytes.fetch_add(shard_bytes,
-                                                    std::memory_order_relaxed) +
-                               shard_bytes);
-            bool_indexes[base + i] = data::BooleanVerticalIndex(*perturbed);
-          } else {
-            StatusOr<data::CategoricalTable> perturbed = mechanism.PerturbShard(
-                shard.view, options_.perturb_seed, inner_threads);
-            shard.owned.reset();
-            if (!perturbed.ok()) {
-              statuses[i] = perturbed.status();
-              return;
-            }
-            RaiseToAtLeast(peak_bytes,
-                           inflight_bytes.fetch_add(shard_bytes,
-                                                    std::memory_order_relaxed) +
-                               shard_bytes);
-            cat_indexes[base + i] =
-                mining::VerticalIndex::Build(*perturbed, inner_threads);
-          }  // the perturbed shard rows are dropped here
-          inflight_bytes.fetch_sub(shard_bytes, std::memory_order_relaxed);
-        });
-    for (size_t i = 0; i < pending.size(); ++i) {
-      FRAPP_RETURN_IF_ERROR(statuses[i]);
-      result.stats.max_shard_rows =
-          std::max(result.stats.max_shard_rows, pending[i].view.size());
-      result.stats.total_rows += pending[i].view.size();
-      ++result.stats.num_shards;
-    }
+  const auto perturbed_alive = [&](size_t bytes) {
+    RaiseToAtLeast(peak_bytes,
+                   inflight_bytes.fetch_add(bytes, std::memory_order_relaxed) +
+                       bytes);
+  };
+  const auto perturbed_dropped = [&](size_t bytes) {
+    inflight_bytes.fetch_sub(bytes, std::memory_order_relaxed);
+  };
+  std::vector<mining::VerticalIndex> cat_indexes;
+  std::vector<data::BooleanVerticalIndex> bool_indexes;
+  if (boolean_shards) {
+    FRAPP_ASSIGN_OR_RETURN(
+        bool_indexes,
+        RunShardStage<data::BooleanVerticalIndex>(
+            source, options_.num_threads,
+            [&](PulledShard& shard, size_t inner_threads,
+                data::BooleanVerticalIndex* index) -> Status {
+              const size_t bytes = shard.view.size() * bytes_per_row;
+              FRAPP_ASSIGN_OR_RETURN(
+                  data::BooleanTable perturbed,
+                  mechanism.PerturbBooleanShard(
+                      shard.view, options_.perturb_seed, inner_threads));
+              shard.owned.reset();
+              perturbed_alive(bytes);
+              *index = data::BooleanVerticalIndex(perturbed);
+              perturbed_dropped(bytes);
+              return Status::OK();
+            },
+            &result.stats));
+  } else {
+    FRAPP_ASSIGN_OR_RETURN(
+        cat_indexes,
+        RunShardStage<mining::VerticalIndex>(
+            source, options_.num_threads,
+            [&](PulledShard& shard, size_t inner_threads,
+                mining::VerticalIndex* index) -> Status {
+              const size_t bytes = shard.view.size() * bytes_per_row;
+              FRAPP_ASSIGN_OR_RETURN(
+                  data::CategoricalTable perturbed,
+                  mechanism.PerturbShard(shard.view, options_.perturb_seed,
+                                         inner_threads));
+              shard.owned.reset();
+              perturbed_alive(bytes);
+              *index = mining::VerticalIndex::Build(perturbed, inner_threads);
+              perturbed_dropped(bytes);
+              return Status::OK();
+            },
+            &result.stats));
   }
 
   std::unique_ptr<mining::SupportEstimator> estimator;

@@ -7,8 +7,19 @@
 // client-side perturbation and vertical-index construction; the perturbed
 // rows are dropped the moment their shard is indexed, and a streaming
 // source's input rows the moment their shard is perturbed, so peak memory is
-// O(in-flight shards x shard), never O(table). Mining then runs over the
-// merged per-shard indexes with shard-parallel candidate counting. Because
+// O(in-flight shards x shard), never O(table).
+//
+// The shard stage overlaps pulls with compute: num_threads workers each
+// pull their next shard under a mutex (so the source still sees one puller
+// at a time), tag it with its pull sequence number, and perturb and index
+// it outside the lock while the others pull. A worker holds one shard at a
+// time, so at most num_threads shards are in flight. Indexes are merged in
+// sequence order, and a failure reports the error of the lowest failing
+// sequence number, so neither depends on scheduling. A source with a single
+// shard gives that shard the whole thread budget instead.
+//
+// Mining then runs over the merged per-shard indexes with shard-parallel
+// candidate counting. Because
 // perturbation draws global seeded-chunk RNG streams and support counts are
 // integer sums, the mined result is BIT-IDENTICAL for every (source kind,
 // shard count, thread count) combination — parallelism and memory bounds are
@@ -20,12 +31,12 @@
 // transform commutes with the row partition). There is no monolithic
 // fallback; a mechanism without shard support is an error.
 //
-// Ingest can be pipelined: with PipelineOptions::prefetch_source the source
-// is pulled through a PrefetchingTableSource producer thread, so the next
-// shard parses while the workers perturb the current batch (see
-// prefetching_table_source.h). PipelineStats reports where the ingest time
-// went (source_wait_nanos on the critical path vs producer_parse_nanos
-// overlapped).
+// Ingest can also move off the workers: with
+// PipelineOptions::prefetch_source the source is pulled through a
+// PrefetchingTableSource producer thread, so the next shards parse while the
+// workers perturb theirs (see prefetching_table_source.h). PipelineStats
+// reports where the ingest time went (source_wait_nanos inside the workers'
+// pulls vs producer_parse_nanos on the producer).
 
 #ifndef FRAPP_PIPELINE_PRIVACY_PIPELINE_H_
 #define FRAPP_PIPELINE_PRIVACY_PIPELINE_H_
@@ -59,8 +70,7 @@ struct PipelineOptions {
 
   /// When true, the source is pulled through a PrefetchingTableSource: a
   /// dedicated producer thread parses/generates the next shard(s) while the
-  /// worker pool perturbs and indexes the current batch, hiding ingest
-  /// latency behind compute. Order-preserving, so it NEVER affects results
+  /// workers perturb and index theirs, taking ingest off the workers. Order-preserving, so it NEVER affects results
   /// — only where the parse time goes (see PipelineStats).
   bool prefetch_source = false;
 
@@ -106,9 +116,11 @@ struct PipelineStats {
   /// per row.
   size_t peak_inflight_perturbed_bytes = 0;
 
-  /// Nanoseconds the pipeline's pull loop spent blocked in
-  /// TableSource::NextShard. Without prefetch this IS the ingest cost on
-  /// the critical path; with prefetch it is only the residual latency the
+  /// Nanoseconds spent inside TableSource::NextShard, summed over the
+  /// workers' pulls. Pulls overlap the other workers' perturbation and
+  /// indexing, so this is no longer all on the critical path: only a worker
+  /// that waits on a pull is idle meanwhile. Without prefetch it is the
+  /// whole ingest cost; with prefetch it is only the residual latency the
   /// producer failed to hide.
   uint64_t source_wait_nanos = 0;
 
@@ -127,10 +139,10 @@ struct PipelineResult {
 /// Runs the full privacy-preserving mining flow for one mechanism.
 ///
 /// The pipeline object itself is immutable configuration; each Run call is
-/// self-contained. One Run streams from one thread (plus the worker pool it
-/// fans out on, plus the prefetch producer when enabled) — callers must not
-/// share a TableSource between concurrent Run calls, since sources are
-/// single-producer by contract.
+/// self-contained. One Run pulls from its calling thread and the worker
+/// pool it fans out on, one pull at a time under a mutex (plus the prefetch
+/// producer when enabled) — callers must not share a TableSource between
+/// concurrent Run calls, since sources are single-producer by contract.
 class PrivacyPipeline {
  public:
   explicit PrivacyPipeline(PipelineOptions options) : options_(options) {}

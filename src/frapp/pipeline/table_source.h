@@ -31,7 +31,9 @@
 //    drops it, the rows are gone — which is what bounds peak memory to the
 //    shards in flight;
 //  - NextShard is pulled by ONE thread at a time (sources are
-//    single-producer; they need no internal locking).
+//    single-producer; they need no internal locking). The pipeline's
+//    workers take turns under a mutex, so successive pulls may come from
+//    different threads, and they overlap the processing of earlier shards.
 
 #ifndef FRAPP_PIPELINE_TABLE_SOURCE_H_
 #define FRAPP_PIPELINE_TABLE_SOURCE_H_
@@ -69,7 +71,7 @@ class TableSource {
 
   /// Fills `*out` with the next shard; returns false once the stream is
   /// exhausted (*out is untouched then). Not thread-safe: the pipeline
-  /// pulls from one thread and fans the perturbation out.
+  /// serializes its workers' pulls.
   virtual StatusOr<bool> NextShard(PulledShard* out) = 0;
 
   /// Hint that rows before global row `row` (a chunk-quantum multiple) will

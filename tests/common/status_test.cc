@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace frapp {
 namespace {
 
@@ -22,6 +24,10 @@ struct FactoryCase {
   StatusCode code;
   const char* name;
 };
+
+// Prints the case by name so test names do not carry the struct's raw bytes
+// (the factory pointer's address changes from run to run).
+void PrintTo(const FactoryCase& c, std::ostream* os) { *os << c.name; }
 
 class StatusFactoryTest : public ::testing::TestWithParam<FactoryCase> {};
 

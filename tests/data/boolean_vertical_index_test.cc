@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "frapp/random/rng.h"
 
@@ -78,6 +80,37 @@ TEST(BooleanVerticalIndexTest, PatternCountsSumToRowCount) {
     total += c;
   }
   EXPECT_EQ(total, 77);
+}
+
+// The constructor transposes full 64-row blocks with a 64x64 bit-matrix
+// transpose and scatters the tail rows one bit at a time; both must equal a
+// naive bit-at-a-time oracle for every width, around every block boundary,
+// and for ranges that start mid-word.
+TEST(BooleanVerticalIndexTest, BlockTransposeMatchesNaiveOracle) {
+  random::Pcg64 rng(14);
+  for (size_t num_bits : {1, 23, 64}) {
+    const BooleanTable table = RandomBooleanTable(num_bits, 8300, rng);
+    for (const RowRange range :
+         {RowRange{0, 0}, RowRange{0, 1}, RowRange{0, 63}, RowRange{0, 64},
+          RowRange{0, 65}, RowRange{0, 8191}, RowRange{0, 8192},
+          RowRange{0, 8193}, RowRange{37, 37 + 8193}, RowRange{5, 5 + 128}}) {
+      SCOPED_TRACE("bits=" + std::to_string(num_bits) + " range=[" +
+                   std::to_string(range.begin) + ", " +
+                   std::to_string(range.end) + ")");
+      const size_t words = (range.size() + 63) / 64;
+      std::vector<uint64_t> want(num_bits * words, 0);
+      for (size_t i = 0; i < range.size(); ++i) {
+        for (size_t p = 0; p < num_bits; ++p) {
+          if (table.Get(range.begin + i, p)) {
+            want[p * words + i / 64] |= uint64_t{1} << (i % 64);
+          }
+        }
+      }
+      const BooleanVerticalIndex index(table, range);
+      EXPECT_EQ(index.num_rows(), range.size());
+      EXPECT_EQ(index.raw_bits(), want);
+    }
+  }
 }
 
 }  // namespace

@@ -83,6 +83,17 @@ TEST(BooleanTableTest, TooManyCategoriesRejected) {
   EXPECT_FALSE(BooleanTable::FromCategorical(*t).ok());
 }
 
+TEST(BooleanTableTest, AppendZeroRowsGrowsWithZeroRows) {
+  BooleanTable table = *BooleanTable::CreateEmpty(23);
+  table.AppendRow(0x5);
+  table.AppendZeroRows(3);
+  ASSERT_EQ(table.num_rows(), 4u);
+  EXPECT_EQ(table.RowBits(0), 0x5u);
+  for (size_t i = 1; i < 4; ++i) EXPECT_EQ(table.RowBits(i), 0u);
+  table.SetRowBits(3, ~uint64_t{0});
+  EXPECT_EQ(table.RowBits(3), table.ValidMask());
+}
+
 }  // namespace
 }  // namespace data
 }  // namespace frapp

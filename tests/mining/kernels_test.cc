@@ -10,16 +10,21 @@
 //     level otherwise; names round-trip through the parser.
 //  3. E2E BIT-IDENTITY: a full CENSUS 50k exact mine produces identical
 //     itemsets and supports under every supported kernel level.
+//  4. TRANSPOSE PARITY: every level's byte-column transpose equals a naive
+//     bit-at-a-time oracle across block tails, cardinalities up to 256,
+//     and VerticalIndex::BuildRange ranges that start mid-word.
 
 #include "frapp/mining/kernels.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "frapp/data/census.h"
 #include "frapp/mining/apriori.h"
+#include "frapp/mining/vertical_index.h"
 #include "frapp/random/rng.h"
 
 namespace frapp {
@@ -166,6 +171,106 @@ TEST(KernelsTest, DegenerateMapsCountExactly) {
       EXPECT_EQ(table.popcount_range(ones.data(), words), 64 * words);
     }
   }
+}
+
+/// Naive bit-at-a-time transpose: the contract of TransposeBytesFn, one row
+/// at a time, into planes pre-filled with `fill`.
+std::vector<uint64_t> NaiveTranspose(const std::vector<uint8_t>& col,
+                                     size_t cardinality, size_t stride,
+                                     uint64_t fill) {
+  const size_t words = (col.size() + 63) / 64;
+  std::vector<uint64_t> planes(cardinality * stride, fill);
+  for (size_t c = 0; c < cardinality; ++c) {
+    for (size_t w = 0; w < words; ++w) planes[c * stride + w] = 0;
+  }
+  for (size_t r = 0; r < col.size(); ++r) {
+    if (col[r] < cardinality) {
+      planes[col[r] * stride + r / 64] |= uint64_t{1} << (r % 64);
+    }
+  }
+  return planes;
+}
+
+TEST(KernelsTest, TransposeBytesMatchesNaiveOracleAtEveryLevel) {
+  random::Pcg64 rng(0x7a5e, 11);
+  // A fill pattern in the planes' spare word checks that the kernels write
+  // exactly words [0, ceil(rows/64)) of each plane.
+  const uint64_t fill = 0xa5a5a5a5a5a5a5a5ull;
+  for (size_t rows : {0, 1, 63, 64, 65, 8191, 8192, 8193}) {
+    for (size_t cardinality : {1, 2, 5, 255, 256}) {
+      // In-range ids only, then ids over the whole byte range (ids >=
+      // cardinality must set no bit).
+      for (size_t id_range : {cardinality, size_t{256}}) {
+        SCOPED_TRACE("rows=" + std::to_string(rows) +
+                     " cardinality=" + std::to_string(cardinality) +
+                     " id_range=" + std::to_string(id_range));
+        std::vector<uint8_t> col(rows);
+        for (uint8_t& id : col) id = static_cast<uint8_t>(rng.NextBounded(id_range));
+        const size_t stride = (rows + 63) / 64 + 1;
+        const std::vector<uint64_t> want =
+            NaiveTranspose(col, cardinality, stride, fill);
+        for (KernelLevel level : SupportedLevels()) {
+          SCOPED_TRACE(KernelLevelName(level));
+          std::vector<uint64_t> planes(cardinality * stride, fill);
+          KernelsForLevel(level).transpose_bytes(col.data(), rows, cardinality,
+                                                 planes.data(), stride);
+          EXPECT_EQ(planes, want);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, BuildRangeMidWordMatchesNaiveOracleAtEveryLevel) {
+  std::vector<data::Attribute> attributes;
+  for (size_t cardinality : {1, 2, 5, 255, 256}) {
+    std::vector<std::string> categories;
+    for (size_t c = 0; c < cardinality; ++c) {
+      categories.push_back(std::to_string(c));
+    }
+    attributes.push_back(
+        {"a" + std::to_string(cardinality), std::move(categories)});
+  }
+  const data::CategoricalSchema schema =
+      *data::CategoricalSchema::Create(std::move(attributes));
+  data::CategoricalTable table = *data::CategoricalTable::Create(schema);
+  random::Pcg64 rng(0xb17d, 5);
+  std::vector<uint8_t> row(schema.num_attributes());
+  for (size_t i = 0; i < 8300; ++i) {
+    for (size_t j = 0; j < row.size(); ++j) {
+      row[j] = static_cast<uint8_t>(rng.NextBounded(schema.Cardinality(j)));
+    }
+    ASSERT_TRUE(table.AppendRow(row).ok());
+  }
+
+  for (const data::RowRange range :
+       {data::RowRange{37, 37}, data::RowRange{37, 38}, data::RowRange{37, 101},
+        data::RowRange{37, 8230}, data::RowRange{100, 8293}}) {
+    SCOPED_TRACE("range=[" + std::to_string(range.begin) + ", " +
+                 std::to_string(range.end) + ")");
+    for (KernelLevel level : SupportedLevels()) {
+      SCOPED_TRACE(KernelLevelName(level));
+      internal::SetActiveKernelsForTest(level);
+      const VerticalIndex index = VerticalIndex::BuildRange(table, range, 2);
+      ASSERT_EQ(index.num_rows(), range.size());
+      for (size_t j = 0; j < schema.num_attributes(); ++j) {
+        std::vector<uint8_t> col(table.Column(j).begin() + range.begin,
+                                 table.Column(j).begin() + range.end);
+        const std::vector<uint64_t> want =
+            NaiveTranspose(col, schema.Cardinality(j), index.words_per_item(),
+                           /*fill=*/0);
+        for (size_t c = 0; c < schema.Cardinality(j); ++c) {
+          const uint64_t* got = index.Bitmap(j, c);
+          EXPECT_EQ(std::vector<uint64_t>(got, got + index.words_per_item()),
+                    std::vector<uint64_t>(
+                        want.begin() + c * index.words_per_item(),
+                        want.begin() + (c + 1) * index.words_per_item()))
+              << "attribute " << j << " category " << c;
+        }
+      }
+    }
+  }
+  internal::ResetActiveKernelsForTest();
 }
 
 TEST(KernelsTest, EndToEndCensusMineBitIdenticalAcrossLevels) {

@@ -4,13 +4,22 @@
 // single-thread pass BIT FOR BIT — sharding is a pure parallelism/memory
 // transform, never an accuracy one. Since PR 3 this holds for ALL five
 // mechanisms (DET-GD, RAN-GD, MASK, C&P, IND-GD); the monolithic fallback
-// no longer exists.
+// no longer exists. The overlapped shard stage adds its own contract:
+// failures resolve to the lowest failing shard at every thread count, a
+// failed source is never pulled again, and a one-shard source gets the
+// whole thread budget.
 
 #include "frapp/pipeline/privacy_pipeline.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "frapp/core/mechanism.h"
 #include "frapp/data/census.h"
@@ -40,6 +49,84 @@ void ExpectSameMiningResult(const mining::AprioriResult& a,
     }
   }
 }
+
+/// Forwards the shard-streaming calls of a categorical mechanism, records the
+/// largest thread count any PerturbShard call received, and fails the
+/// shards whose global begin row is in `failing_begins` with a Status
+/// naming that row. The first failing shard fails only after a delay, so
+/// with several workers a later failing shard usually fails first.
+class ProbingMechanism : public core::Mechanism {
+ public:
+  ProbingMechanism(std::unique_ptr<core::Mechanism> inner,
+                   std::vector<size_t> failing_begins = {})
+      : inner_(std::move(inner)), failing_begins_(std::move(failing_begins)) {}
+
+  std::string name() const override { return inner_->name(); }
+  Status Prepare(const data::CategoricalTable& original,
+                 random::Pcg64& rng) override {
+    return inner_->Prepare(original, rng);
+  }
+  mining::SupportEstimator& estimator() override { return inner_->estimator(); }
+  StatusOr<double> ConditionNumberForLength(size_t length) const override {
+    return inner_->ConditionNumberForLength(length);
+  }
+  double Amplification() const override { return inner_->Amplification(); }
+  bool SupportsShardStreaming() const override { return true; }
+
+  StatusOr<data::CategoricalTable> PerturbShard(const data::ShardView& shard,
+                                                uint64_t seed,
+                                                size_t num_threads) override {
+    size_t seen = max_threads_.load();
+    while (seen < num_threads &&
+           !max_threads_.compare_exchange_weak(seen, num_threads)) {
+    }
+    const auto failing = std::find(failing_begins_.begin(),
+                                   failing_begins_.end(), shard.global_begin);
+    if (failing != failing_begins_.end()) {
+      if (failing == failing_begins_.begin()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      }
+      return Status::Internal("perturb failed at row " +
+                              std::to_string(shard.global_begin));
+    }
+    return inner_->PerturbShard(shard, seed, num_threads);
+  }
+  StatusOr<std::unique_ptr<mining::SupportEstimator>> MakeCountSourceEstimator(
+      std::shared_ptr<mining::SupportCountSource> source) override {
+    return inner_->MakeCountSourceEstimator(std::move(source));
+  }
+
+  size_t max_threads() const { return max_threads_.load(); }
+
+ private:
+  std::unique_ptr<core::Mechanism> inner_;
+  std::vector<size_t> failing_begins_;
+  std::atomic<size_t> max_threads_{0};
+};
+
+/// Yields `inner`'s shards but fails pull number `fail_at` (0-based), and
+/// counts every pull, including any made after the failure.
+class FailingSource : public TableSource {
+ public:
+  FailingSource(TableSource& inner, size_t fail_at)
+      : inner_(inner), fail_at_(fail_at) {}
+
+  const data::CategoricalSchema& schema() const override {
+    return inner_.schema();
+  }
+  StatusOr<bool> NextShard(PulledShard* out) override {
+    const size_t pull = pulls_++;
+    if (pull == fail_at_) return Status::IOError("pull failed");
+    return inner_.NextShard(out);
+  }
+
+  size_t pulls() const { return pulls_; }
+
+ private:
+  TableSource& inner_;
+  size_t fail_at_;
+  size_t pulls_ = 0;
+};
 
 class PrivacyPipelineTest : public ::testing::Test {
  protected:
@@ -255,6 +342,61 @@ TEST_F(PrivacyPipelineTest, ExactMiningBitIdenticalAcrossCountShards) {
       ExpectSameMiningResult(reference, *run);
     }
   }
+}
+
+TEST_F(PrivacyPipelineTest, SourceErrorIsReturnedAndSourceNeverPulledAgain) {
+  for (size_t fail_at : {0ul, 4ul}) {
+    for (size_t num_threads : {1ul, 3ul, 8ul}) {
+      SCOPED_TRACE(testing::Message() << "fail_at=" << fail_at
+                                      << " threads=" << num_threads);
+      InMemoryTableSource inner(*table_, 7);
+      FailingSource source(inner, fail_at);
+      auto mechanism = *core::DetGdMechanism::Create(table_->schema(), kGamma);
+      const StatusOr<PipelineResult> run =
+          PrivacyPipeline(Options(7, num_threads)).Run(*mechanism, source);
+      EXPECT_EQ(run.status().ToString(),
+                Status::IOError("pull failed").ToString());
+      EXPECT_EQ(source.pulls(), fail_at + 1);
+    }
+  }
+}
+
+TEST_F(PrivacyPipelineTest, LowestFailingShardErrorWinsAtAnyThreadCount) {
+  const std::vector<data::RowRange> plan =
+      data::ShardedTable::Plan(table_->num_rows(), 7);
+  ASSERT_EQ(plan.size(), 7u);
+  for (size_t num_threads : {1ul, 3ul, 8ul}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << num_threads);
+    ProbingMechanism mechanism(
+        *core::DetGdMechanism::Create(table_->schema(), kGamma),
+        {plan[2].begin, plan[5].begin});
+    const StatusOr<PipelineResult> run =
+        PrivacyPipeline(Options(7, num_threads)).Run(mechanism, *table_);
+    EXPECT_EQ(run.status().ToString(),
+              Status::Internal("perturb failed at row " +
+                               std::to_string(plan[2].begin))
+                  .ToString());
+  }
+}
+
+TEST_F(PrivacyPipelineTest, OneShardGetsTheWholeThreadBudget) {
+  ProbingMechanism serial_mechanism(
+      *core::DetGdMechanism::Create(table_->schema(), kGamma));
+  InMemoryTableSource serial_source(*table_, 1);
+  const StatusOr<PipelineResult> serial =
+      PrivacyPipeline(Options(1, 1)).Run(serial_mechanism, serial_source);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+
+  ProbingMechanism parallel_mechanism(
+      *core::DetGdMechanism::Create(table_->schema(), kGamma));
+  InMemoryTableSource parallel_source(*table_, 1);
+  const StatusOr<PipelineResult> parallel =
+      PrivacyPipeline(Options(1, 4)).Run(parallel_mechanism, parallel_source);
+  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
+
+  EXPECT_EQ(parallel->stats.num_shards, 1u);
+  EXPECT_EQ(parallel_mechanism.max_threads(), 4u);
+  ExpectSameMiningResult(serial->mined, parallel->mined);
 }
 
 TEST_F(PrivacyPipelineTest, EmptyTableYieldsEmptyResult) {

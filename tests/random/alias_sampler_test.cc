@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "frapp/core/seeded_chunking.h"
+
 namespace frapp {
 namespace random {
 namespace {
@@ -33,6 +35,25 @@ TEST(AliasSamplerTest, ZeroWeightOutcomeNeverSampled) {
   ASSERT_TRUE(s.ok());
   Pcg64 rng(2);
   for (int i = 0; i < 10000; ++i) EXPECT_NE(s->Sample(rng), 1u);
+}
+
+// Known answers: the first draws on a fixed weight vector (with a zero-weight
+// outcome) from a fixed (seed, stream) pair and from a ChunkRng stream,
+// captured from the reference implementation. Pins the sampler's use of the
+// generator (one bounded bucket draw, then one acceptance double), so a
+// change in either the alias table or the draw order fails here.
+TEST(AliasSamplerTest, SampleMatchesPinnedStream) {
+  StatusOr<AliasSampler> s =
+      AliasSampler::Create({1.0, 2.0, 3.0, 4.0, 0.0, 10.0});
+  ASSERT_TRUE(s.ok());
+  Pcg64 rng(2024, 9);
+  const size_t want[] = {3, 5, 2, 1, 2, 5, 5, 2, 1, 5, 2, 1, 5, 0, 5, 1};
+  for (size_t w : want) EXPECT_EQ(s->Sample(rng), w);
+  EXPECT_EQ(rng.Next(), 0x1fb2a0c495940a2bull);
+
+  Pcg64 chunk = core::internal::ChunkRng(7, 3);
+  const size_t want_chunk[] = {5, 5, 1, 5, 3, 5, 5, 5, 5, 3, 5, 1, 3, 2, 5, 3};
+  for (size_t w : want_chunk) EXPECT_EQ(s->Sample(chunk), w);
 }
 
 class AliasSamplerDistributionTest

@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <set>
+#include <utility>
+#include <vector>
+
+#include "frapp/core/seeded_chunking.h"
 
 namespace frapp {
 namespace random {
@@ -108,6 +112,131 @@ TEST(Pcg64Test, SatisfiesUniformRandomBitGenerator) {
   static_assert(Pcg64::max() == ~0ull);
   Pcg64 rng(14);
   EXPECT_NE(rng(), rng());
+}
+
+// Known-answer streams. Every seeded perturbation in the library replays
+// these generators, so a change to any output silently changes every
+// perturbed table; the tests above check only self-consistency and would not
+// notice. The values were captured from the reference implementation and are
+// pinned for fixed (seed, stream) pairs, for the default constructor, and
+// for the ChunkRng derivation the seeded-chunk perturbers use.
+struct KnownStream {
+  const char* name;
+  Pcg64 rng;
+  uint64_t next[8];
+  double next_double[8];
+  bool bernoulli_03[8];
+  uint64_t bounded_2[8];
+  uint64_t bounded_5[8];
+  uint64_t bounded_7[8];
+  // Bound 2^63 + 1 rejects about half of all draws, so this exercises the
+  // rejection loop; `after_huge` (the next raw output) pins how many draws
+  // the eight bounded values consumed.
+  uint64_t bounded_huge[8];
+  uint64_t after_huge;
+};
+
+constexpr uint64_t kHugeBound = (1ull << 63) + 1;
+
+std::vector<KnownStream> KnownStreams() {
+  return {
+      {"s42_st54",
+       Pcg64(42, 54),
+       {0xd5743d8a1a844ec4ull, 0xfb628e2be340f738ull, 0x7a1065ff660968ceull,
+        0xb18182e69cb59fb6ull, 0x7260672989a082d4ull, 0x267426fab2204dadull,
+        0x080468fb91fe1dbaull, 0xf51c604ef2004abbull},
+       {0x1.aae87b1435089p-1, 0x1.f6c51c57c681ep-1, 0x1.e84197fd9825ap-2,
+        0x1.630305cd396b3p-1, 0x1.c9819ca62682p-2, 0x1.33a137d591024p-3,
+        0x1.008d1f723fc3p-5, 0x1.ea38c09de4009p-1},
+       {false, false, false, false, false, true, true, false},
+       {1, 1, 0, 1, 0, 0, 0, 1},
+       {4, 4, 2, 3, 2, 0, 0, 4},
+       {5, 6, 3, 4, 3, 1, 0, 6},
+       {7690493145368373090ull, 9057098485192489884ull, 6395324171846078427ull,
+        1385441264455919318ull, 2770882026684029458ull, 3359938177799484361ull,
+        4649222004511592403ull, 4555939535021713948ull},
+       0xf2111b35d308871full},
+      {"default",
+       Pcg64(),
+       {0xe48ae080acf46ab3ull, 0x263503c52bcef834ull, 0x1977da0304e10544ull,
+        0xc75f3f66419ad737ull, 0x3e48ee57e4ed10f8ull, 0xb7c0d06911c5aea9ull,
+        0x1d030d6e88289339ull, 0xbf8405d82c223680ull},
+       {0x1.c915c10159e8dp-1, 0x1.31a81e295e77cp-3, 0x1.977da0304e1p-4,
+        0x1.8ebe7ecc8335ap-1, 0x1.f24772bf27688p-3, 0x1.6f81a0d2238b5p-1,
+        0x1.d030d6e88289p-4, 0x1.7f080bb058446p-1},
+       {false, true, true, false, true, false, true, false},
+       {1, 0, 0, 1, 0, 1, 0, 1},
+       {4, 0, 0, 3, 1, 3, 0, 3},
+       {6, 1, 0, 5, 1, 5, 0, 5},
+       {1045264710205983132ull, 6900080792090778432ull, 8567688722275001380ull,
+        5624634861419102559ull, 5153625624607559634ull, 6114872548626509448ull,
+        301916892708973801ull, 1162881743259501992ull},
+       0xd46cf7a5f1bebf5eull},
+      {"chunk7_3",
+       core::internal::ChunkRng(7, 3),
+       {0x1460544296c36345ull, 0x4db97372e2d6ff5bull, 0xe678db5b19e08d54ull,
+        0x2805dfc61c430265ull, 0x2e62a91b4d3f68f5ull, 0x7f58ce4ae729b9f3ull,
+        0xe09130084421a89dull, 0x2c2965537c43c8b1ull},
+       {0x1.460544296c36p-4, 0x1.36e5cdcb8b5bep-2, 0x1.ccf1b6b633c11p-1,
+        0x1.402efe30e218p-3, 0x1.731548da69fb4p-3, 0x1.fd63392b9ca6ep-2,
+        0x1.c122601088435p-1, 0x1.614b2a9be21e4p-3},
+       {true, false, false, true, true, false, false, true},
+       {0, 0, 1, 0, 0, 0, 1, 0},
+       {0, 1, 4, 0, 0, 2, 4, 0},
+       {0, 2, 6, 1, 1, 3, 6, 1},
+       {734133061748371874ull, 2800317274440564653ull, 8303632405125678762ull,
+        1441978589185671474ull, 1671209904093770874ull, 4588155530934279417ull,
+        1591093010477737048ull, 224427965860200435ull},
+       0xa0022427080b79efull},
+  };
+}
+
+TEST(Pcg64KnownAnswerTest, NextMatchesPinnedStream) {
+  for (KnownStream s : KnownStreams()) {
+    SCOPED_TRACE(s.name);
+    for (uint64_t want : s.next) EXPECT_EQ(s.rng.Next(), want);
+  }
+}
+
+TEST(Pcg64KnownAnswerTest, NextDoubleMatchesPinnedStream) {
+  for (KnownStream s : KnownStreams()) {
+    SCOPED_TRACE(s.name);
+    for (double want : s.next_double) EXPECT_EQ(s.rng.NextDouble(), want);
+  }
+}
+
+TEST(Pcg64KnownAnswerTest, NextBernoulliMatchesPinnedStream) {
+  for (KnownStream s : KnownStreams()) {
+    SCOPED_TRACE(s.name);
+    for (bool want : s.bernoulli_03) EXPECT_EQ(s.rng.NextBernoulli(0.3), want);
+  }
+}
+
+TEST(Pcg64KnownAnswerTest, NextBoundedMatchesPinnedStream) {
+  for (const KnownStream& s : KnownStreams()) {
+    SCOPED_TRACE(s.name);
+    const std::pair<uint64_t, const uint64_t*> cases[] = {
+        {2, s.bounded_2}, {5, s.bounded_5}, {7, s.bounded_7}};
+    for (const auto& [bound, want] : cases) {
+      Pcg64 rng = s.rng;
+      for (size_t i = 0; i < 8; ++i) EXPECT_EQ(rng.NextBounded(bound), want[i]);
+    }
+  }
+}
+
+TEST(Pcg64KnownAnswerTest, NextBoundedRejectionLoopMatchesPinnedStream) {
+  for (KnownStream s : KnownStreams()) {
+    SCOPED_TRACE(s.name);
+    Pcg64 raw = s.rng;
+    for (uint64_t want : s.bounded_huge) {
+      EXPECT_EQ(s.rng.NextBounded(kHugeBound), want);
+    }
+    // More than eight raw draws were consumed: the loop rejected some.
+    size_t consumed = 0;
+    while (raw.Next() != s.after_huge && consumed < 64) ++consumed;
+    EXPECT_GT(consumed, 8u);
+    EXPECT_EQ(s.rng.Next(), s.after_huge);
+  }
 }
 
 }  // namespace
