@@ -1,6 +1,12 @@
 #include "frapp/store/count_store.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,10 +26,14 @@ static_assert(CountStore::kSubstrateChunkRows == data::kShardAlignmentRows,
 namespace {
 
 constexpr char kMagic[8] = {'F', 'R', 'A', 'P', 'P', 'C', 'N', 'T'};
-constexpr uint32_t kFormatVersion = 1;
+// Version 1 differs from 2 only in its checksum (byte-serial FNV-1a); it is
+// still read, and the next save rewrites it as version 2.
+constexpr uint32_t kLegacyFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 // Magic + version + kind + six u64 fields, before the variable-length part.
 constexpr size_t kFixedHeaderBytes = 8 + 4 + 4 + 6 * 8;
 constexpr size_t kChecksumBytes = 8;
+constexpr bool kLittleEndianHost = std::endian::native == std::endian::little;
 
 void AppendBytes(std::string& buf, const void* data, size_t n) {
   buf.append(static_cast<const char*>(data), n);
@@ -46,13 +56,108 @@ void AppendString(std::string& buf, const std::string& s) {
   AppendBytes(buf, s.data(), s.size());
 }
 
-uint64_t Checksum(const char* data, size_t n) {
+/// Appends `n` words little-endian: one bulk copy on little-endian hosts.
+void AppendWords(std::string& buf, const uint64_t* words, size_t n) {
+  if constexpr (kLittleEndianHost) {
+    AppendBytes(buf, words, n * 8);
+  } else {
+    for (size_t w = 0; w < n; ++w) AppendU64(buf, words[w]);
+  }
+}
+
+uint64_t LoadU64(const char* p) {
+  uint64_t v = 0;
+  if constexpr (kLittleEndianHost) {
+    std::memcpy(&v, p, 8);
+  } else {
+    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(p[i]);
+  }
+  return v;
+}
+
+/// Version 1 checksum: FNV-1a, one dependent multiply per byte.
+uint64_t ChecksumV1(const char* data, size_t n) {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < n; ++i) {
     h ^= static_cast<uint8_t>(data[i]);
     h *= 0x100000001b3ULL;
   }
   return h;
+}
+
+/// One checksum step. For a fixed word it is a bijection of the state (xor,
+/// multiply by an odd constant and rotate are each invertible), and for a
+/// fixed state a bijection of the word.
+uint64_t ChecksumStep(uint64_t h, uint64_t word) {
+  return std::rotl((h ^ word) * 0x9e3779b97f4a7c15ULL, 31);
+}
+
+/// Version 2 checksum. The payload is read as little-endian u64 words; word
+/// i feeds lane i % 4, so the four multiply chains run independently. The
+/// 0-7 tail bytes are zero-padded into one last word, and the four lanes,
+/// the tail word and the payload length are folded with the same step.
+/// Because every step is a bijection in both the state and the word, two
+/// payloads of equal length that differ inside a single 8-byte word always
+/// checksum differently: every single-bit flip is caught, not just most.
+uint64_t ChecksumV2(const char* data, size_t n) {
+  uint64_t lanes[4] = {0x243f6a8885a308d3ULL, 0x13198a2e03707344ULL,
+                       0xa4093822299f31d0ULL, 0x082efa98ec4e6c89ULL};
+  const size_t num_words = n / 8;
+  size_t w = 0;
+  for (; w + 4 <= num_words; w += 4) {
+    for (int lane = 0; lane < 4; ++lane) {
+      lanes[lane] = ChecksumStep(lanes[lane], LoadU64(data + 8 * (w + lane)));
+    }
+  }
+  for (; w < num_words; ++w) {
+    lanes[w % 4] = ChecksumStep(lanes[w % 4], LoadU64(data + 8 * w));
+  }
+  char tail[8] = {};
+  std::memcpy(tail, data + 8 * num_words, n % 8);
+  uint64_t h = lanes[0];
+  for (int lane = 1; lane < 4; ++lane) h = ChecksumStep(h, lanes[lane]);
+  h = ChecksumStep(h, LoadU64(tail));
+  return ChecksumStep(h, static_cast<uint64_t>(n));
+}
+
+/// Temp-file name for one save: unique per process and per call, in the
+/// target's directory so the final rename never crosses a file system.
+std::string TempPathFor(const std::string& path) {
+  static std::atomic<uint64_t> counter{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
+}
+
+/// Moves the finished temp file onto `path`, removing the temp file on
+/// failure. A store that already exists is swapped out with
+/// renameat2(RENAME_EXCHANGE) and the displaced image unlinked, rather than
+/// renamed over: ext4 starts writeback of the new file inside a rename that
+/// replaces a file (auto_da_alloc), and the next save, dropping that file,
+/// waits for the writeback, which puts the disk inside every save. Readers
+/// see the same either way: `path` always names a whole store. What the
+/// swap gives up is ext4's ordering of the image's data before the rename
+/// on a power loss, which without fsync was never promised. A missing
+/// target, anything but a regular file, and hosts without the call take the
+/// plain rename, with rename's errors.
+Status ReplaceWithTemp(const std::string& tmp, const std::string& path) {
+#if defined(__linux__) && defined(RENAME_EXCHANGE)
+  struct stat target {};
+  if (::lstat(path.c_str(), &target) == 0 && S_ISREG(target.st_mode) &&
+      ::renameat2(AT_FDCWD, tmp.c_str(), AT_FDCWD, path.c_str(),
+                  RENAME_EXCHANGE) == 0) {
+    if (::unlink(tmp.c_str()) != 0) {
+      return Status::IOError("saved '" + path +
+                             "' but cannot remove the replaced store at '" +
+                             tmp + "'");
+    }
+    return Status::OK();
+  }
+#endif
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return Status::IOError("cannot rename '" + tmp + "' to '" + path + "'");
+  }
+  return Status::OK();
 }
 
 /// Bounds-checked forward reader over the loaded file image. Every Read*
@@ -81,8 +186,7 @@ struct Cursor {
 
   StatusOr<uint64_t> ReadU64(const std::string& what) {
     if (!Need(8)) return Truncated(what);
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(data[pos + i]);
+    const uint64_t v = LoadU64(data + pos);
     pos += 8;
     return v;
   }
@@ -97,12 +201,10 @@ struct Cursor {
 
   Status ReadWords(const std::string& what, uint64_t* out, size_t n) {
     if (!Need(n * 8)) return Truncated(what);
-    for (size_t w = 0; w < n; ++w) {
-      uint64_t v = 0;
-      for (int i = 7; i >= 0; --i) {
-        v = (v << 8) | static_cast<uint8_t>(data[pos + w * 8 + i]);
-      }
-      out[w] = v;
+    if constexpr (kLittleEndianHost) {
+      std::memcpy(out, data + pos, n * 8);
+    } else {
+      for (size_t w = 0; w < n; ++w) out[w] = LoadU64(data + pos + w * 8);
     }
     pos += n * 8;
     return Status::OK();
@@ -185,7 +287,42 @@ void CountStore::UpdateSubstrate(uint64_t planes, size_t drop_leading,
 }
 
 Status CountStore::SaveToFile(const std::string& path) const {
+  // The substrate must tile the committed window exactly; a store that
+  // violates that would poison every later incremental run, so refuse to
+  // write it at all.
+  if (!substrate_.empty() &&
+      substrate_.size() * kSubstrateChunkRows != high_water_ - window_begin_) {
+    return Status::Internal(
+        "substrate does not tile the window: " +
+        std::to_string(substrate_.size()) + " chunks for rows [" +
+        std::to_string(window_begin_) + ", " + std::to_string(high_water_) +
+        ")");
+  }
+  const size_t chunk_words = substrate_planes_ * kSubstrateChunkWords;
+  for (const SubstrateChunk& chunk : substrate_) {
+    if (chunk.words.size() != chunk_words) {
+      return Status::Internal("substrate chunk has wrong plane arity");
+    }
+  }
+
+  // Sorted keys make the byte image a pure function of the logical store,
+  // so two runs that materialize the same counts write identical files.
+  std::vector<const StoreKey*> keys;
+  keys.reserve(entries_.size());
+  size_t entry_bytes = 0;
+  for (const auto& [key, entry] : entries_) {
+    keys.push_back(&key);
+    entry_bytes += 4 + 4 * key.size() + 4 + 8 * entry.counts.size();
+  }
+  std::sort(keys.begin(), keys.end(),
+            [](const StoreKey* a, const StoreKey* b) { return *a < *b; });
+
+  const size_t image_bytes =
+      kFixedHeaderBytes + 4 + identity_.source_id.size() + 4 +
+      identity_.spec_key.size() + 8 + entry_bytes + 8 + 8 +
+      substrate_.size() * chunk_words * 8 + kChecksumBytes;
   std::string buf;
+  buf.reserve(image_bytes);
   AppendBytes(buf, kMagic, sizeof(kMagic));
   AppendU32(buf, kFormatVersion);
   AppendU32(buf, static_cast<uint32_t>(identity_.kind));
@@ -198,14 +335,6 @@ Status CountStore::SaveToFile(const std::string& path) const {
   AppendString(buf, identity_.source_id);
   AppendString(buf, identity_.spec_key);
 
-  // Sorted keys make the byte image a pure function of the logical store,
-  // so two runs that materialize the same counts write identical files.
-  std::vector<const StoreKey*> keys;
-  keys.reserve(entries_.size());
-  for (const auto& [key, entry] : entries_) keys.push_back(&key);
-  std::sort(keys.begin(), keys.end(),
-            [](const StoreKey* a, const StoreKey* b) { return *a < *b; });
-
   AppendU64(buf, entries_.size());
   for (const StoreKey* key : keys) {
     AppendU32(buf, static_cast<uint32_t>(key->size()));
@@ -215,39 +344,31 @@ Status CountStore::SaveToFile(const std::string& path) const {
     for (int64_t c : counts) AppendU64(buf, static_cast<uint64_t>(c));
   }
 
-  // The substrate must tile the committed window exactly; a store that
-  // violates that would poison every later incremental run, so refuse to
-  // write it at all.
-  if (!substrate_.empty() &&
-      substrate_.size() * kSubstrateChunkRows != high_water_ - window_begin_) {
-    return Status::Internal(
-        "substrate does not tile the window: " +
-        std::to_string(substrate_.size()) + " chunks for rows [" +
-        std::to_string(window_begin_) + ", " + std::to_string(high_water_) +
-        ")");
-  }
   AppendU64(buf, substrate_planes_);
   AppendU64(buf, substrate_.size());
   for (const SubstrateChunk& chunk : substrate_) {
-    if (chunk.words.size() != substrate_planes_ * kSubstrateChunkWords) {
-      return Status::Internal("substrate chunk has wrong plane arity");
-    }
-    for (uint64_t w : chunk.words) AppendU64(buf, w);
+    AppendWords(buf, chunk.words.data(), chunk.words.size());
   }
-  AppendU64(buf, Checksum(buf.data(), buf.size()));
+  AppendU64(buf, ChecksumV2(buf.data(), buf.size()));
+  FRAPP_CHECK_EQ(buf.size(), image_bytes);
 
-  const std::string tmp = path + ".tmp";
+  // A temp file per save, so concurrent writers never share one; whichever
+  // replacement lands last wins, and every failure path removes its file.
+  const std::string tmp = TempPathFor(path);
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IOError("cannot open '" + tmp + "' for writing");
+    if (!out) {
+      std::remove(tmp.c_str());
+      return Status::IOError("cannot open '" + tmp + "' for writing");
+    }
     out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    if (!out) return Status::IOError("write failure on '" + tmp + "'");
+    out.close();
+    if (!out) {
+      std::remove(tmp.c_str());
+      return Status::IOError("write failure on '" + tmp + "'");
+    }
   }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot rename '" + tmp + "' to '" + path + "'");
-  }
-  return Status::OK();
+  return ReplaceWithTemp(tmp, path);
 }
 
 StatusOr<CountStore> CountStore::LoadFromFile(const std::string& path) {
@@ -276,19 +397,18 @@ StatusOr<CountStore> CountStore::LoadFromFile(const std::string& path) {
   const size_t payload = buf.size() - kChecksumBytes;
   Cursor cursor{buf.data(), payload, sizeof(kMagic), path};
   FRAPP_ASSIGN_OR_RETURN(const uint32_t version, cursor.ReadU32("header"));
-  if (version != kFormatVersion) {
+  if (version != kLegacyFormatVersion && version != kFormatVersion) {
     return Status::InvalidArgument(
         "'" + path + "' has format version " + std::to_string(version) +
-        ", this reader understands " + std::to_string(kFormatVersion));
+        ", this reader understands " + std::to_string(kLegacyFormatVersion) +
+        " and " + std::to_string(kFormatVersion));
   }
   // Checksum next: nothing past the version field is trusted before the
   // whole image validates.
-  uint64_t want_checksum = 0;
-  for (int i = 7; i >= 0; --i) {
-    want_checksum =
-        (want_checksum << 8) | static_cast<uint8_t>(buf[payload + i]);
-  }
-  if (Checksum(buf.data(), payload) != want_checksum) {
+  const uint64_t checksum = version == kLegacyFormatVersion
+                                ? ChecksumV1(buf.data(), payload)
+                                : ChecksumV2(buf.data(), payload);
+  if (checksum != LoadU64(buf.data() + payload)) {
     return Status::InvalidArgument(
         "'" + path + "' fails its checksum (truncated or corrupted)");
   }

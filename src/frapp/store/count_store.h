@@ -24,7 +24,7 @@
 //
 //   offset  size  field
 //   0       8     magic "FRAPPCNT"
-//   8       4     u32 format version (1)
+//   8       4     u32 format version (2; 1 is still read)
 //   12      4     u32 count kind (0 = support, 1 = boolean superset)
 //   16      8     u64 schema fingerprint (data::SchemaFingerprint)
 //   24      8     u64 perturbation seed
@@ -42,7 +42,21 @@
 //   ...     ...   substrate chunks in window order, each planes * 128
 //                 u64 words: the raw bitmap planes of that chunk's
 //                 vertical index (8192 rows per chunk)
-//   end-8   8     u64 FNV-1a checksum of every preceding byte
+//   end-8   8     u64 checksum of every preceding byte (the payload)
+//
+// Version 2 checksum: the payload is read as little-endian u64 words, word
+// i feeding lane i % 4 of four independent lanes, each updated as
+//   h = rotl((h ^ w) * 0x9e3779b97f4a7c15, 31).
+// The 0-7 trailing bytes are zero-padded into one last word, and the four
+// lane states, that tail word and the payload length are folded together
+// with the same step. Each step is a bijection in the state and in the word,
+// so any change confined to one 8-byte word — in particular every single
+// bit flip — always fails the checksum.
+//
+// Version 1 has the same layout and length and differs only in its checksum,
+// byte-serial FNV-1a over the payload. The reader accepts both; the writer
+// always writes version 2, so the next save upgrades a version 1 store in
+// place.
 //
 // The substrate is the perturbed database itself, materialized as per-chunk
 // bitmap-index planes. It is what makes store MISSES cheap: a candidate
@@ -54,8 +68,15 @@
 // high_water - window_begin.
 //
 // The checksum is validated before anything else is trusted, so a truncated
-// or bit-flipped file is rejected up front; writes go through a temp file
-// plus rename, so a crashed save never leaves a half-written store behind.
+// or bit-flipped file is rejected up front. Writes go through a temp file
+// that then replaces the store, so a crashed save never leaves a
+// half-written store behind. The temp file sits beside the target and is
+// named per save — "<path>.tmp.<pid>.<n>", n a process-wide counter — so
+// concurrent writers never share one; the last replacement wins, and a
+// failed save removes its temp file. An existing store is swapped out with
+// renameat2(RENAME_EXCHANGE) and unlinked, not renamed over, so ext4 does
+// not write the new image back inside the save (auto_da_alloc); saves do
+// not fsync, so a power loss may leave an empty or old store.
 
 #ifndef FRAPP_STORE_COUNT_STORE_H_
 #define FRAPP_STORE_COUNT_STORE_H_
@@ -180,8 +201,8 @@ class CountStore {
   void UpdateSubstrate(uint64_t planes, size_t drop_leading,
                        std::vector<SubstrateChunk> appended);
 
-  /// Serializes to `path` via a temp file + rename, so readers never see a
-  /// partial store.
+  /// Serializes to `path` via a temp file that then replaces the store, so
+  /// readers never see a partial store.
   Status SaveToFile(const std::string& path) const;
 
   /// Deserializes a store, validating magic, version, checksum, and every

@@ -11,6 +11,8 @@
 #      store after each append — only the delta is perturbed
 #   4. every store-backed report is byte-diffed against a from-scratch
 #      `--run-pipeline` mine of the same grown file
+#   5. after every store-backed mine, no save temp file is left beside the
+#      store and the store's version word (bytes 8-11) reads 2
 #
 # Usage: tools/incremental_smoke.sh [build-dir]   (default: <repo-root>/build)
 
@@ -51,6 +53,25 @@ check_parity() {
   fi
   cat "$tmp_dir/inc.err"
   echo "OK: $label parity holds"
+  check_store "$label"
+}
+
+check_store() {
+  local label="$1"
+  local leftovers
+  leftovers="$(find "$tmp_dir" -maxdepth 1 -name '*.tmp*')"
+  if [[ -n "$leftovers" ]]; then
+    echo "FAIL: $label save left temp file(s) beside the store:" >&2
+    echo "$leftovers" >&2
+    exit 1
+  fi
+  local version
+  version="$(od -An -tu1 -j8 -N4 "$store" | tr -s ' ' | sed 's/^ //')"
+  if [[ "$version" != "2 0 0 0" ]]; then
+    echo "FAIL: $label store has version bytes '$version', want '2 0 0 0'" >&2
+    exit 1
+  fi
+  echo "OK: $label store is FRAPPCNT version 2, no temp files"
 }
 
 echo "=== first mine: store created ==="
