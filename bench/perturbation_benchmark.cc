@@ -15,6 +15,7 @@
 #include "frapp/core/randomized_gamma.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/census.h"
+#include "frapp/data/sharded_table.h"
 
 namespace {
 
@@ -127,16 +128,31 @@ void BM_RandomizedGammaPerturb(benchmark::State& state) {
 }
 BENCHMARK(BM_RandomizedGammaPerturb);
 
+// MASK the way the pipeline, dist workers and the store run it: one
+// PerturbShardSeeded call per chunk-aligned shard of 8192 CENSUS rows (one
+// seeded chunk, 23 one-hot bits per row), on one thread.
 void BM_MaskPerturb(benchmark::State& state) {
-  const data::CategoricalSchema schema = data::census::Schema();
-  const data::CategoricalTable table = RandomTable(schema, 1000);
-  const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(table);
-  auto scheme = *core::MaskScheme::CalibrateForGamma(19.0, 6);
-  random::Pcg64 rng(5);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.Perturb(onehot, rng));
+  constexpr size_t kShards = 4;
+  constexpr size_t kRows = data::kShardAlignmentRows;
+  const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(
+      *data::census::MakeDataset(kShards * kRows, 5));
+  std::vector<data::BooleanTable> shards;
+  for (size_t s = 0; s < kShards; ++s) {
+    data::BooleanTable shard =
+        *data::BooleanTable::CreateEmpty(onehot.num_bits());
+    for (size_t i = s * kRows; i < (s + 1) * kRows; ++i) {
+      shard.AppendRow(onehot.RowBits(i));
+    }
+    shards.push_back(std::move(shard));
   }
-  state.SetItemsProcessed(state.iterations() * table.num_rows());
+  auto scheme = *core::MaskScheme::CalibrateForGamma(19.0, 6);
+  for (auto _ : state) {
+    for (size_t s = 0; s < kShards; ++s) {
+      benchmark::DoNotOptimize(
+          scheme.PerturbShardSeeded(shards[s], s * kRows, /*seed=*/5));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * kShards * kRows);
 }
 BENCHMARK(BM_MaskPerturb);
 

@@ -195,6 +195,7 @@ CpuInfo DetectCpuInfo() {
   info.features.avx2 = __builtin_cpu_supports("avx2") != 0;
   info.features.avx512f = __builtin_cpu_supports("avx512f") != 0;
   info.features.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
+  info.features.avx512dq = __builtin_cpu_supports("avx512dq") != 0;
   info.features.avx512vl = __builtin_cpu_supports("avx512vl") != 0;
   info.features.avx512vpopcntdq =
       __builtin_cpu_supports("avx512vpopcntdq") != 0;
@@ -239,6 +240,7 @@ std::string CpuInfoSummary(const CpuInfo& info) {
       << "  avx2              : " << flag(info.features.avx2) << "\n"
       << "  avx512f           : " << flag(info.features.avx512f) << "\n"
       << "  avx512bw          : " << flag(info.features.avx512bw) << "\n"
+      << "  avx512dq          : " << flag(info.features.avx512dq) << "\n"
       << "  avx512vl          : " << flag(info.features.avx512vl) << "\n"
       << "  avx512vpopcntdq   : " << flag(info.features.avx512vpopcntdq) << "\n"
       << "cache geometry (" << (info.cache.detected ? "detected" : "assumed")

@@ -31,6 +31,7 @@ struct CpuFeatures {
   bool avx2 = false;
   bool avx512f = false;
   bool avx512bw = false;
+  bool avx512dq = false;
   bool avx512vl = false;
   bool avx512vpopcntdq = false;
 };

@@ -5,9 +5,41 @@
 
 #include "frapp/common/parallel.h"
 #include "frapp/core/seeded_chunking.h"
+#include "frapp/mining/kernels.h"
 
 namespace frapp {
 namespace core {
+
+namespace {
+
+/// Writes rows [begin, end) of `in` into the same rows of `out`, each bit
+/// flipped with probability q, where threshold = BernoulliThreshold(q). The
+/// flips are exactly the draws of the per-bit loop
+///   for each row, for each bit b: if (rng.NextBernoulli(q)) flip bit b
+/// in the same order: one bulk kernel call writes them as a bit stream, each
+/// row takes its num_bits-wide slice of it, and `rng` ends where the loop
+/// would have left it.
+void FlipRows(const data::BooleanTable& in, size_t begin, size_t end,
+              uint64_t threshold, random::Pcg64& rng, data::BooleanTable* out) {
+  const size_t bits = in.num_bits();
+  const size_t n = (end - begin) * bits;
+  // One spare word: a row's slice reads the word after the one it starts in.
+  std::vector<uint64_t> stream(n / 64 + 2, 0);
+  mining::ActiveKernels().bernoulli_bits(rng.state(), rng.increment(),
+                                         threshold, n, stream.data());
+  rng.Advance(n);
+  for (size_t i = begin, pos = 0; i < end; ++i, pos += bits) {
+    const size_t w = pos / 64;
+    const unsigned o = pos % 64;
+    // (x << 1) << (63 - o) is x << (64 - o), and 0 when o is 0; SetRowBits
+    // drops the bits past the row's width.
+    const uint64_t flips =
+        (stream[w] >> o) | ((stream[w + 1] << 1) << (63 - o));
+    out->SetRowBits(i, in.RowBits(i) ^ flips);
+  }
+}
+
+}  // namespace
 
 StatusOr<MaskScheme> MaskScheme::Create(double p) {
   if (!(p > 0.5) || !(p < 1.0)) {
@@ -39,14 +71,13 @@ StatusOr<data::BooleanTable> MaskScheme::Perturb(const data::BooleanTable& table
                                                  random::Pcg64& rng) const {
   FRAPP_ASSIGN_OR_RETURN(data::BooleanTable out,
                          data::BooleanTable::CreateEmpty(table.num_bits()));
-  const double flip = 1.0 - p_;
-  const size_t bits = table.num_bits();
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    uint64_t flip_mask = 0;
-    for (size_t b = 0; b < bits; ++b) {
-      if (rng.NextBernoulli(flip)) flip_mask |= (1ull << b);
-    }
-    out.AppendRow(table.RowBits(i) ^ flip_mask);
+  const size_t len = table.num_rows();
+  out.AppendZeroRows(len);
+  const uint64_t threshold = random::Pcg64::BernoulliThreshold(1.0 - p_);
+  // Blocks only bound the flip stream's size; the draws run on one stream.
+  for (size_t begin = 0; begin < len; begin += internal::kPerturbChunkRows) {
+    FlipRows(table, begin, std::min(len, begin + internal::kPerturbChunkRows),
+             threshold, rng, &out);
   }
   return out;
 }
@@ -67,18 +98,11 @@ StatusOr<data::BooleanTable> MaskScheme::PerturbShardSeeded(
                          data::BooleanTable::CreateEmpty(onehot.num_bits()));
   const size_t len = onehot.num_rows();
   out.AppendZeroRows(len);
-  const double flip = 1.0 - p_;
-  const size_t bits = onehot.num_bits();
+  const uint64_t threshold = random::Pcg64::BernoulliThreshold(1.0 - p_);
   internal::ForEachSeededChunk(
       len, global_begin, seed, num_threads,
       [&](size_t begin, size_t end, random::Pcg64& rng) {
-        for (size_t i = begin; i < end; ++i) {
-          uint64_t flip_mask = 0;
-          for (size_t b = 0; b < bits; ++b) {
-            if (rng.NextBernoulli(flip)) flip_mask |= (1ull << b);
-          }
-          out.SetRowBits(i, onehot.RowBits(i) ^ flip_mask);
-        }
+        FlipRows(onehot, begin, end, threshold, rng, &out);
       });
   return out;
 }

@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "frapp/common/cpuinfo.h"
+#include "frapp/random/rng.h"
 
 #if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
 #define FRAPP_KERNELS_X86 1
@@ -53,6 +54,20 @@ void TransposeBytesScalar(const uint8_t* col, size_t rows, size_t cardinality,
       planes[c * stride + w] = acc[c];
       acc[c] = 0;
     }
+  }
+}
+
+void BernoulliBitsScalar(unsigned __int128 state, unsigned __int128 increment,
+                         uint64_t threshold, size_t n, uint64_t* out) {
+  for (size_t w = 0; w * 64 < n; ++w) {
+    const size_t bits = n - w * 64 < 64 ? n - w * 64 : 64;
+    uint64_t word = 0;
+    for (size_t b = 0; b < bits; ++b) {
+      state = state * random::Pcg64::kMultiplier + increment;
+      const uint64_t draw = random::Pcg64::Output(state);
+      word |= static_cast<uint64_t>((draw >> 11) < threshold) << b;
+    }
+    out[w] = word;
   }
 }
 
@@ -293,20 +308,125 @@ __attribute__((target("avx512f,avx512bw"))) void TransposeBytesAvx512(
                        planes + blocks, stride);
 }
 
+// Bernoulli bits: 16 lanes of the one PCG64 stream in two zmm groups of 8
+// (two independent multiply chains). Lane j starts on the state j + 1 steps
+// on and then jumps 16 steps at a time, so one pass over both groups makes
+// draws [16t, 16t + 16) in lane order. A 128-bit state is a (lo, hi) pair
+// of 64-bit lanes. Of the product with the jump multiplier (a_lo, a_hi),
+// lo * a_lo is needed in full (128 bits), built from four 32x32 vpmuludq
+// partials; the cross terms lo * a_hi and hi * a_lo only in their low 64
+// bits, which is AVX-512DQ's vpmullq.
+
+// Same GCC false positive as above, here on the unmasked shift, multiply and
+// rotate intrinsics.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+/// One 128-bit constant broadcast for StepLcgLanes: its low and high words,
+/// and the high 32 bits of the low word where vpmuludq reads (the low 32
+/// bits of each 64-bit lane).
+struct Broadcast128 {
+  __m512i lo, lo_h, hi;
+};
+
+__attribute__((target("avx512f"))) inline Broadcast128 BroadcastWords(
+    unsigned __int128 x) {
+  const uint64_t lo = static_cast<uint64_t>(x);
+  return {_mm512_set1_epi64(static_cast<long long>(lo)),
+          _mm512_set1_epi64(static_cast<long long>(lo >> 32)),
+          _mm512_set1_epi64(
+              static_cast<long long>(static_cast<uint64_t>(x >> 64)))};
+}
+
+/// state = mult * state + plus (mod 2^128) on 8 lanes.
+__attribute__((target("avx512f,avx512dq"))) inline void StepLcgLanes(
+    __m512i& lo, __m512i& hi, const Broadcast128& mult, __m512i plus_lo,
+    __m512i plus_hi) {
+  const __m512i low32 = _mm512_set1_epi64(0xffffffffLL);
+  const __m512i lo_h = _mm512_srli_epi64(lo, 32);
+  const __m512i p00 = _mm512_mul_epu32(lo, mult.lo);
+  const __m512i p01 = _mm512_mul_epu32(lo, mult.lo_h);
+  const __m512i p10 = _mm512_mul_epu32(lo_h, mult.lo);
+  const __m512i p11 = _mm512_mul_epu32(lo_h, mult.lo_h);
+  // Schoolbook carries; neither sum can overflow 64 bits.
+  const __m512i t = _mm512_add_epi64(p10, _mm512_srli_epi64(p00, 32));
+  const __m512i u = _mm512_add_epi64(p01, _mm512_and_si512(t, low32));
+  const __m512i prod_hi = _mm512_add_epi64(
+      _mm512_add_epi64(p11, _mm512_srli_epi64(t, 32)), _mm512_srli_epi64(u, 32));
+  // Low 32 bits from p00, high 32 from u.
+  const __m512i prod_lo =
+      _mm512_mask_blend_epi32(0xaaaa, p00, _mm512_slli_epi64(u, 32));
+  const __m512i cross = _mm512_add_epi64(_mm512_mullo_epi64(lo, mult.hi),
+                                         _mm512_mullo_epi64(hi, mult.lo));
+  lo = _mm512_add_epi64(prod_lo, plus_lo);
+  const __mmask8 carry = _mm512_cmplt_epu64_mask(lo, plus_lo);
+  hi = _mm512_add_epi64(_mm512_add_epi64(prod_hi, cross), plus_hi);
+  hi = _mm512_mask_add_epi64(hi, carry, hi, _mm512_set1_epi64(1));
+}
+
+/// Bit j set iff lane j's PCG-XSL-RR output x has (x >> 11) < threshold.
+__attribute__((target("avx512f"))) inline unsigned BernoulliLanes(
+    __m512i lo, __m512i hi, __m512i threshold) {
+  const __m512i draw = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo),
+                                         _mm512_srli_epi64(hi, 58));
+  return _mm512_cmplt_epu64_mask(_mm512_srli_epi64(draw, 11), threshold);
+}
+
+__attribute__((target("avx512f,avx512dq"))) void BernoulliBitsAvx512(
+    unsigned __int128 state, unsigned __int128 increment, uint64_t threshold,
+    size_t n, uint64_t* out) {
+  if (n == 0) return;
+  constexpr size_t kLanes = 16;
+  alignas(64) uint64_t lo[kLanes], hi[kLanes];
+  for (size_t j = 0; j < kLanes; ++j) {
+    state = state * random::Pcg64::kMultiplier + increment;
+    lo[j] = static_cast<uint64_t>(state);
+    hi[j] = static_cast<uint64_t>(state >> 64);
+  }
+  unsigned __int128 mult, plus;
+  random::Pcg64::JumpCoefficients(kLanes, increment, &mult, &plus);
+  const Broadcast128 jump = BroadcastWords(mult);
+  const __m512i plus_lo =
+      _mm512_set1_epi64(static_cast<long long>(static_cast<uint64_t>(plus)));
+  const __m512i plus_hi = _mm512_set1_epi64(
+      static_cast<long long>(static_cast<uint64_t>(plus >> 64)));
+  const __m512i t = _mm512_set1_epi64(static_cast<long long>(threshold));
+  __m512i lo_a = _mm512_load_si512(lo), hi_a = _mm512_load_si512(hi);
+  __m512i lo_b = _mm512_load_si512(lo + 8), hi_b = _mm512_load_si512(hi + 8);
+  const size_t words = (n + 63) / 64;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t word = 0;
+    for (unsigned k = 0; k < 4; ++k) {
+      const unsigned bits = BernoulliLanes(lo_a, hi_a, t) |
+                            (BernoulliLanes(lo_b, hi_b, t) << 8);
+      word |= static_cast<uint64_t>(bits) << (16 * k);
+      StepLcgLanes(lo_a, hi_a, jump, plus_lo, plus_hi);
+      StepLcgLanes(lo_b, hi_b, jump, plus_lo, plus_hi);
+    }
+    out[w] = word;
+  }
+  // The last word's draws past n were made but are not part of the stream.
+  if (n % 64 != 0) out[words - 1] &= (uint64_t{1} << (n % 64)) - 1;
+}
+
+#pragma GCC diagnostic pop
+
 #endif  // FRAPP_KERNELS_X86
 
 constexpr KernelTable kScalarTable = {
     IntersectPopcountScalar, PopcountRangeScalar, TransposeBytesScalar,
-    KernelLevel::kScalar};
+    BernoulliBitsScalar, KernelLevel::kScalar};
 constexpr KernelTable kHarleySealTable = {
     IntersectPopcountHarleySeal, PopcountRangeHarleySeal, TransposeBytesScalar,
-    KernelLevel::kHarleySeal};
+    BernoulliBitsScalar, KernelLevel::kHarleySeal};
 #ifdef FRAPP_KERNELS_X86
 constexpr KernelTable kAvx2Table = {IntersectPopcountAvx2, PopcountRangeAvx2,
-                                    TransposeBytesAvx2, KernelLevel::kAvx2};
+                                    TransposeBytesAvx2, BernoulliBitsScalar,
+                                    KernelLevel::kAvx2};
 constexpr KernelTable kAvx512Table = {
     IntersectPopcountAvx512, PopcountRangeAvx512, TransposeBytesAvx512,
-    KernelLevel::kAvx512};
+    BernoulliBitsAvx512, KernelLevel::kAvx512};
 #endif
 
 /// The resolved default table (dispatch decision applied once).
@@ -362,9 +482,11 @@ bool KernelLevelSupported(KernelLevel level) {
   const common::CpuFeatures& features = common::GetCpuInfo().features;
   if (level == KernelLevel::kAvx2) return features.avx2;
   if (level == KernelLevel::kAvx512) {
-    // The transpose needs AVX-512BW byte compares; every VPOPCNTDQ part
-    // except Knights Mill has them, and those fall back to avx2.
-    return features.avx512f && features.avx512vpopcntdq && features.avx512bw;
+    // The transpose needs AVX-512BW byte compares and the Bernoulli bits
+    // AVX-512DQ's vpmullq; every VPOPCNTDQ part except Knights Mill has
+    // both, and those fall back to avx2.
+    return features.avx512f && features.avx512vpopcntdq && features.avx512bw &&
+           features.avx512dq;
   }
 #endif
   return false;

@@ -5,24 +5,29 @@
 // supports) and popcount of the word-wise AND of k bitmaps (k-itemset
 // supports, boolean superset counts). Every categorical index build bottoms
 // out in one transpose: a byte column of category ids into one bitmap plane
-// per category. This header exposes all three as function pointers resolved
-// ONCE per process into the widest implementation the host supports:
+// per category. MASK's perturbation bottoms out in one stream of Bernoulli
+// bits: one PCG64 draw per one-hot bit, packed LSB-first. This header
+// exposes all four as function pointers resolved ONCE per process into the
+// widest implementation the host supports:
 //
 //   scalar       portable word loop + __builtin_popcountll (always compiled);
 //                the transpose ORs each 64-row block into a small per-block
-//                accumulator array and stores each plane word once
+//                accumulator array and stores each plane word once; the
+//                Bernoulli bits run the plain one-stream LCG loop
 //   harley-seal  portable carry-save-adder accumulation: 16-word blocks fold
 //                into a bit-sliced counter network, so only one popcount is
 //                paid per 16 words — the long-bitmap-run rung for hosts
 //                without wide SIMD (always compiled, never auto-picked over
-//                a SIMD level)
+//                a SIMD level); scalar transpose and Bernoulli bits
 //   avx2         256-bit AND chains, nibble-lookup (vpshufb) popcount folded
 //                with vpsadbw — the Mula technique; the transpose compares
 //                64 ids against each category (vpcmpeqb) and packs the
-//                result with vpmovmskb
+//                result with vpmovmskb; scalar Bernoulli bits
 //   avx512       512-bit AND chains + native vpopcntq (AVX-512 VPOPCNTDQ),
 //                masked loads for the tail; the transpose is one AVX-512BW
-//                byte compare into a 64-bit mask per category
+//                byte compare into a 64-bit mask per category; the Bernoulli
+//                bits run 16 jump-ahead lanes of the one stream (below),
+//                with AVX-512DQ's vpmullq in the 128-bit multiply
 //
 // Counts are INTEGERS, so every level returns bit-identical results on any
 // input — vectorization reorders only additions of non-negative word
@@ -30,6 +35,16 @@
 // permutation. That makes the dispatch level invisible to the seeded-chunk
 // grid-bit-identity invariant, and testable by direct equality
 // (tests/mining/kernels_test.cc).
+//
+// The Bernoulli bits are exact too, by two identities. The threshold:
+// NextDouble() < q holds exactly when (Next() >> 11) < T with
+// T = ceil(q * 2^53) (random::Pcg64::BernoulliThreshold), so a draw is one
+// integer compare. The jump-ahead: the PCG64 state L steps on is
+// M^L * s + inc * (1 + M + ... + M^(L-1)) mod 2^128
+// (random::Pcg64::JumpCoefficients), so L lanes started on consecutive
+// states and each stepped L at a time walk the one stream in order, lane j
+// making draws j, j + L, j + 2L, ... Every level therefore writes the same
+// bits the sequential NextBernoulli(q) loop decides.
 //
 // The environment variable FRAPP_FORCE_KERNEL={scalar,avx2,avx512} pins the
 // dispatch for testing and benchmarking; forcing a level the host cannot run
@@ -78,11 +93,22 @@ using TransposeBytesFn = void (*)(const uint8_t* col, size_t rows,
                                   size_t cardinality, uint64_t* planes,
                                   size_t stride);
 
+/// Bernoulli bit stream of n PCG64 draws: from LCG `state` and `increment`
+/// (random::Pcg64::state() / increment()), draw i is the output of the state
+/// i + 1 steps on, and bit i of out (bit i % 64 of word i / 64) is set iff
+/// that draw x has (x >> 11) < threshold. Writes words [0, ceil(n / 64)) of
+/// out; bits past n are 0. Requires threshold <= 2^53. Leaves the caller's
+/// generator untouched: it advances by n itself (random::Pcg64::Advance).
+using BernoulliBitsFn = void (*)(unsigned __int128 state,
+                                 unsigned __int128 increment,
+                                 uint64_t threshold, size_t n, uint64_t* out);
+
 /// One resolved implementation set. All members non-null.
 struct KernelTable {
   IntersectPopcountFn intersect_popcount;
   PopcountRangeFn popcount_range;
   TransposeBytesFn transpose_bytes;
+  BernoulliBitsFn bernoulli_bits;
   KernelLevel level;
 };
 

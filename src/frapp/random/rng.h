@@ -30,16 +30,44 @@ class Pcg64 {
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
+  /// The LCG multiplier: each step is state = state * kMultiplier + increment.
+  static constexpr unsigned __int128 kMultiplier =
+      (static_cast<unsigned __int128>(2549297995355413924ULL) << 64) |
+      4865540595714422341ULL;
+
+  /// PCG-XSL-RR output function: the 64 bits Next() returns once it has
+  /// stepped to `state`.
+  static uint64_t Output(unsigned __int128 state) {
+    const uint64_t xored = static_cast<uint64_t>(state >> 64) ^
+                           static_cast<uint64_t>(state);
+    const unsigned rot = static_cast<unsigned>(state >> 122);
+    return (xored >> rot) | (xored << ((-rot) & 63));
+  }
+
   /// Next 64 random bits.
   uint64_t Next() {
     state_ = state_ * kMultiplier + increment_;
-    // PCG-XSL-RR output function.
-    const uint64_t xored = static_cast<uint64_t>(state_ >> 64) ^
-                           static_cast<uint64_t>(state_);
-    const unsigned rot = static_cast<unsigned>(state_ >> 122);
-    return (xored >> rot) | (xored << ((-rot) & 63));
+    return Output(state_);
   }
   result_type operator()() { return Next(); }
+
+  /// The raw LCG state and (odd) increment, for bulk kernels that run the
+  /// stream outside this object. Such a caller puts the generator where its
+  /// draws left it with Advance().
+  unsigned __int128 state() const { return state_; }
+  unsigned __int128 increment() const { return increment_; }
+
+  /// Coefficients of an n-step jump: n calls of Next() take state s to
+  /// (*mult) * s + (*plus) mod 2^128, with
+  /// *mult = kMultiplier^n and *plus = increment * (1 + M + ... + M^(n-1)).
+  /// O(log n) (Brown, "Random Number Generation with Arbitrary Strides").
+  static void JumpCoefficients(uint64_t n, unsigned __int128 increment,
+                               unsigned __int128* mult,
+                               unsigned __int128* plus);
+
+  /// Skips n draws in O(log n): the generator then stands exactly where n
+  /// calls of Next() would have left it.
+  void Advance(uint64_t n);
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double NextDouble() {
@@ -73,14 +101,19 @@ class Pcg64 {
     return NextDouble() < p;
   }
 
+  /// Integer form of NextBernoulli(p): for every draw x of Next(),
+  /// NextBernoulli(p) is true exactly when (x >> 11) < BernoulliThreshold(p).
+  /// NextDouble() is (x >> 11) * 2^-53, exact in double precision, so
+  /// NextDouble() < p iff (x >> 11) < p * 2^53 iff (x >> 11) < ceil(p * 2^53).
+  /// The result lies in [0, 2^53]: NaN and p <= 0 give 0 (never), p >= 1
+  /// gives 2^53 (always). The two forms consume the same draws only for p in
+  /// (0, 1): outside it NextBernoulli draws nothing.
+  static uint64_t BernoulliThreshold(double p);
+
   /// Derives an independent child generator (for per-worker streams).
   Pcg64 Split();
 
  private:
-  static constexpr unsigned __int128 kMultiplier =
-      (static_cast<unsigned __int128>(2549297995355413924ULL) << 64) |
-      4865540595714422341ULL;
-
   unsigned __int128 state_;
   unsigned __int128 increment_;
 };

@@ -49,6 +49,7 @@ TEST(CpuInfoTest, SummaryMentionsEverySection) {
   const std::string summary = CpuInfoSummary(GetCpuInfo());
   EXPECT_NE(summary.find("isa features"), std::string::npos);
   EXPECT_NE(summary.find("avx512vpopcntdq"), std::string::npos);
+  EXPECT_NE(summary.find("avx512dq"), std::string::npos);
   EXPECT_NE(summary.find("cache geometry"), std::string::npos);
   EXPECT_NE(summary.find("topology"), std::string::npos);
   EXPECT_NE(summary.find("physical cores"), std::string::npos);
@@ -56,10 +57,13 @@ TEST(CpuInfoTest, SummaryMentionsEverySection) {
 
 #if defined(__x86_64__) || defined(__i386__)
 TEST(CpuInfoTest, FeatureLadderIsMonotone) {
-  // The x86 feature ladder never inverts: vpopcntdq implies avx512f,
-  // avx512f implies avx2 on every shipping core, avx2 implies sse4.2.
+  // The x86 feature ladder never inverts: vpopcntdq, bw and dq imply
+  // avx512f, avx512f implies avx2 on every shipping core, avx2 implies
+  // sse4.2.
   const CpuFeatures& f = GetCpuInfo().features;
   if (f.avx512vpopcntdq) EXPECT_TRUE(f.avx512f);
+  if (f.avx512bw) EXPECT_TRUE(f.avx512f);
+  if (f.avx512dq) EXPECT_TRUE(f.avx512f);
   if (f.avx512f) EXPECT_TRUE(f.avx2);
   if (f.avx2) EXPECT_TRUE(f.sse42);
 }

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "frapp/core/seeded_chunking.h"
 #include "frapp/data/census.h"
 #include "frapp/linalg/condition.h"
 #include "frapp/linalg/kronecker.h"
+#include "frapp/mining/kernels.h"
 
 namespace frapp {
 namespace core {
@@ -187,6 +192,94 @@ TEST(MaskSchemeTest, ShardSeededConcatenatesToMonolithic) {
 
   // Misaligned shards are rejected.
   EXPECT_FALSE(s->PerturbShardSeeded(*table, /*global_begin=*/100, 17).ok());
+}
+
+/// The per-bit reference: rows [begin, end) of `in` flipped bit by bit with
+/// NextBernoulli(q) draws from `rng`, row-major, bit 0 first.
+void PerBitFlips(const data::BooleanTable& in, size_t begin, size_t end,
+                 double q, random::Pcg64& rng, std::vector<uint64_t>* out) {
+  for (size_t i = begin; i < end; ++i) {
+    uint64_t flips = 0;
+    for (size_t b = 0; b < in.num_bits(); ++b) {
+      if (rng.NextBernoulli(q)) flips |= uint64_t{1} << b;
+    }
+    out->push_back(in.RowBits(i) ^ flips);
+  }
+}
+
+std::vector<mining::KernelLevel> SupportedKernelLevels() {
+  std::vector<mining::KernelLevel> levels;
+  for (mining::KernelLevel level :
+       {mining::KernelLevel::kScalar, mining::KernelLevel::kHarleySeal,
+        mining::KernelLevel::kAvx2, mining::KernelLevel::kAvx512}) {
+    if (mining::KernelLevelSupported(level)) levels.push_back(level);
+  }
+  return levels;
+}
+
+TEST(MaskSchemeTest, ShardSeededMatchesPerBitOracleAtEveryKernelLevel) {
+  const MaskScheme s = *MaskScheme::CalibrateForGamma(19.0, 6);
+  const double q = s.flip_probability();
+  const uint64_t seed = 0x3a5c;
+  constexpr size_t kChunk = internal::kPerturbChunkRows;
+  for (size_t width : {1, 23, 63, 64}) {
+    for (size_t rows : {size_t{0}, size_t{1}, kChunk - 1, kChunk, kChunk + 1,
+                        3 * kChunk + 5}) {
+      data::BooleanTable onehot = *data::BooleanTable::CreateEmpty(width);
+      random::Pcg64 data_rng(width, rows);
+      for (size_t i = 0; i < rows; ++i) onehot.AppendRow(data_rng.Next());
+      for (size_t global_begin : {size_t{0}, 5 * kChunk}) {
+        SCOPED_TRACE("width=" + std::to_string(width) + " rows=" +
+                     std::to_string(rows) + " global_begin=" +
+                     std::to_string(global_begin));
+        std::vector<uint64_t> want;
+        for (size_t begin = 0; begin < rows; begin += kChunk) {
+          random::Pcg64 rng =
+              internal::ChunkRng(seed, (global_begin + begin) / kChunk);
+          PerBitFlips(onehot, begin, std::min(rows, begin + kChunk), q, rng,
+                      &want);
+        }
+        for (mining::KernelLevel level : SupportedKernelLevels()) {
+          SCOPED_TRACE(mining::KernelLevelName(level));
+          mining::internal::SetActiveKernelsForTest(level);
+          const data::BooleanTable got =
+              *s.PerturbShardSeeded(onehot, global_begin, seed,
+                                    /*num_threads=*/2);
+          ASSERT_EQ(got.num_bits(), width);
+          ASSERT_EQ(got.num_rows(), rows);
+          for (size_t i = 0; i < rows; ++i) {
+            ASSERT_EQ(got.RowBits(i), want[i]) << "row " << i;
+          }
+        }
+      }
+    }
+  }
+  mining::internal::ResetActiveKernelsForTest();
+}
+
+TEST(MaskSchemeTest, PerturbMatchesPerBitOracleAndLeavesRngInPlace) {
+  const MaskScheme s = *MaskScheme::CalibrateForGamma(19.0, 6);
+  data::BooleanTable onehot = *data::BooleanTable::CreateEmpty(23);
+  random::Pcg64 data_rng(31);
+  const size_t rows = 2 * internal::kPerturbChunkRows + 77;
+  for (size_t i = 0; i < rows; ++i) onehot.AppendRow(data_rng.Next());
+
+  random::Pcg64 oracle(19, 4);
+  std::vector<uint64_t> want;
+  PerBitFlips(onehot, 0, rows, s.flip_probability(), oracle, &want);
+  for (mining::KernelLevel level : SupportedKernelLevels()) {
+    SCOPED_TRACE(mining::KernelLevelName(level));
+    mining::internal::SetActiveKernelsForTest(level);
+    random::Pcg64 rng(19, 4);
+    const data::BooleanTable got = *s.Perturb(onehot, rng);
+    ASSERT_EQ(got.num_rows(), rows);
+    for (size_t i = 0; i < rows; ++i) {
+      ASSERT_EQ(got.RowBits(i), want[i]) << "row " << i;
+    }
+    random::Pcg64 after = oracle;
+    EXPECT_EQ(rng.Next(), after.Next());
+  }
+  mining::internal::ResetActiveKernelsForTest();
 }
 
 TEST(MaskSupportEstimatorTest, ResolvesItemsetBits) {

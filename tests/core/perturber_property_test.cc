@@ -20,6 +20,10 @@ struct ShapeCase {
   const char* name;
 };
 
+// Without it gtest prints the struct's bytes, heap pointer included, and
+// ctest's discovered names change on every run.
+void PrintTo(const ShapeCase& c, std::ostream* os) { *os << c.name; }
+
 class PerturberShapeTest : public ::testing::TestWithParam<ShapeCase> {};
 
 TEST_P(PerturberShapeTest, EmpiricalDistributionMatchesMatrixColumn) {

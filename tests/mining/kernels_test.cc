@@ -13,11 +13,15 @@
 //  4. TRANSPOSE PARITY: every level's byte-column transpose equals a naive
 //     bit-at-a-time oracle across block tails, cardinalities up to 256,
 //     and VerticalIndex::BuildRange ranges that start mid-word.
+//  5. BERNOULLI PARITY: every level's Bernoulli bit stream equals the
+//     sequential NextBernoulli(q) loop bit for bit, across lane and word
+//     tails and at probabilities on both sides of a threshold step.
 
 #include "frapp/mining/kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -271,6 +275,40 @@ TEST(KernelsTest, BuildRangeMidWordMatchesNaiveOracleAtEveryLevel) {
     }
   }
   internal::ResetActiveKernelsForTest();
+}
+
+TEST(KernelsTest, BernoulliBitsMatchNextBernoulliLoopAtEveryLevel) {
+  // q * 2^53 is an integer for 0.25 and 0.4375; the two neighbours of
+  // 0.4389 straddle one step of the threshold; 2^-53 is its smallest step.
+  const double probabilities[] = {0.25, 0.4375, std::nextafter(0.4389, 0.0),
+                                  std::nextafter(0.4389, 1.0), 0x1.0p-53};
+  const size_t lengths[] = {0, 1, 7, 8, 15, 16, 17, 8192 * 23, 8192 * 64};
+  // A fill pattern past the written words checks that the kernels write
+  // exactly words [0, ceil(n / 64)) and clear the bits past n.
+  const uint64_t fill = 0xa5a5a5a5a5a5a5a5ull;
+  for (const random::Pcg64& start :
+       {random::Pcg64(42, 54), random::Pcg64(0x5eed, 3)}) {
+    for (double q : probabilities) {
+      for (size_t n : lengths) {
+        SCOPED_TRACE("q=" + std::to_string(q) + " n=" + std::to_string(n));
+        const size_t words = (n + 63) / 64;
+        std::vector<uint64_t> want(words + 1, 0);
+        want[words] = fill;
+        random::Pcg64 oracle = start;
+        for (size_t i = 0; i < n; ++i) {
+          if (oracle.NextBernoulli(q)) want[i / 64] |= uint64_t{1} << (i % 64);
+        }
+        for (KernelLevel level : SupportedLevels()) {
+          SCOPED_TRACE(KernelLevelName(level));
+          std::vector<uint64_t> got(words + 1, fill);
+          KernelsForLevel(level).bernoulli_bits(
+              start.state(), start.increment(),
+              random::Pcg64::BernoulliThreshold(q), n, got.data());
+          EXPECT_EQ(got, want);
+        }
+      }
+    }
+  }
 }
 
 TEST(KernelsTest, EndToEndCensusMineBitIdenticalAcrossLevels) {

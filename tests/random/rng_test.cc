@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -189,6 +190,52 @@ std::vector<KnownStream> KnownStreams() {
         1591093010477737048ull, 224427965860200435ull},
        0xa0022427080b79efull},
   };
+}
+
+TEST(Pcg64Test, AdvanceEqualsRepeatedNext) {
+  const std::pair<const char*, Pcg64> starts[] = {
+      {"pcg42_54", Pcg64(42, 54)}, {"chunk7_3", core::internal::ChunkRng(7, 3)}};
+  for (const auto& [name, start] : starts) {
+    for (uint64_t n : {0, 1, 7, 8, 15, 16, 17, 1000}) {
+      SCOPED_TRACE(std::string(name) + " n=" + std::to_string(n));
+      Pcg64 stepped = start;
+      for (uint64_t i = 0; i < n; ++i) stepped.Next();
+      Pcg64 jumped = start;
+      jumped.Advance(n);
+      EXPECT_TRUE(jumped.state() == stepped.state());
+      EXPECT_TRUE(jumped.increment() == stepped.increment());
+      for (int i = 0; i < 4; ++i) EXPECT_EQ(jumped.Next(), stepped.Next());
+    }
+  }
+}
+
+TEST(Pcg64Test, BernoulliThresholdIsTheExactIntegerForm) {
+  // NextDouble() is (x >> 11) * 2^-53, so the threshold T must be the least
+  // integer with T * 2^-53 >= p: one below it still passes, T itself fails.
+  for (double p : {0x1.0p-53, 0.25, 0.4375, std::nextafter(0.4389, 0.0),
+                   0.4389, std::nextafter(0.4389, 1.0), 0.5,
+                   std::nextafter(1.0, 0.0)}) {
+    SCOPED_TRACE(p);
+    const uint64_t t = Pcg64::BernoulliThreshold(p);
+    ASSERT_GT(t, 0u);
+    EXPECT_LT(static_cast<double>(t - 1) * 0x1.0p-53, p);
+    EXPECT_GE(static_cast<double>(t) * 0x1.0p-53, p);
+  }
+  EXPECT_EQ(Pcg64::BernoulliThreshold(0.25), uint64_t{1} << 51);
+  EXPECT_EQ(Pcg64::BernoulliThreshold(0x1.0p-53), 1u);
+  EXPECT_EQ(Pcg64::BernoulliThreshold(0.0), 0u);
+  EXPECT_EQ(Pcg64::BernoulliThreshold(-1.0), 0u);
+  EXPECT_EQ(Pcg64::BernoulliThreshold(std::nan("")), 0u);
+  EXPECT_EQ(Pcg64::BernoulliThreshold(1.0), uint64_t{1} << 53);
+  EXPECT_EQ(Pcg64::BernoulliThreshold(2.0), uint64_t{1} << 53);
+
+  // And it decides every draw the way NextBernoulli does.
+  Pcg64 a(42, 54);
+  Pcg64 b = a;
+  const uint64_t t = Pcg64::BernoulliThreshold(0.4389);
+  for (int i = 0; i < 10000; ++i) {
+    EXPECT_EQ(a.NextBernoulli(0.4389), (b.Next() >> 11) < t);
+  }
 }
 
 TEST(Pcg64KnownAnswerTest, NextMatchesPinnedStream) {

@@ -89,6 +89,10 @@ struct GridCase {
   size_t threads;
 };
 
+// Without it gtest prints the struct's bytes, pointer included, and ctest's
+// discovered names change on every run.
+void PrintTo(const GridCase& c, std::ostream* os) { *os << c.name; }
+
 class IncrementalGridTest : public IncrementalMineTest,
                             public ::testing::WithParamInterface<GridCase> {};
 
