@@ -1,8 +1,11 @@
 // Microbenchmark backing the paper's Section 5 complexity claim: the
 // dependent-column gamma-diagonal perturber costs O(sum_j |S_j|) per record,
 // while the straightforward CDF-scan algorithm costs O(prod_j |S_j|) — so
-// adding attributes grows the naive cost geometrically but the efficient
-// cost only linearly. Also measures MASK / C&P perturbation throughput.
+// adding attributes grows the naive cost geometrically
+// (BM_NaiveCdfPerturb/m) but the dependent-column cost only linearly
+// (BM_SequentialGammaPerturb/m). Also measures the DET-GD, RAN-GD, MASK and
+// C&P perturbers' throughput; the first three as their entry points run
+// them, per 8192-row CENSUS shard.
 
 #include <benchmark/benchmark.h>
 
@@ -43,19 +46,30 @@ data::CategoricalTable RandomTable(const data::CategoricalSchema& schema, size_t
   return table;
 }
 
-void BM_EfficientGammaPerturb(benchmark::State& state) {
-  const size_t m = static_cast<size_t>(state.range(0));
-  const data::CategoricalSchema schema = PowerSchema(m);
-  const data::CategoricalTable table = RandomTable(schema, 1000);
-  auto perturber = *core::GammaDiagonalPerturber::Create(schema, 19.0);
-  random::Pcg64 rng(2);
+// The gamma perturbers the way the pipeline, dist workers and the store run
+// them: one PerturbShardSeeded call per chunk-aligned shard of 8192 CENSUS
+// rows (one seeded chunk), on one thread.
+constexpr size_t kCensusShards = 4;
+
+template <typename Perturber>
+void PerturbCensusShards(benchmark::State& state, const Perturber& perturber) {
+  constexpr size_t kRows = data::kShardAlignmentRows;
+  const data::CategoricalTable table =
+      *data::census::MakeDataset(kCensusShards * kRows, 5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(perturber.Perturb(table, rng));
+    for (size_t s = 0; s < kCensusShards; ++s) {
+      benchmark::DoNotOptimize(perturber.PerturbShardSeeded(
+          table, data::RowRange{s * kRows, (s + 1) * kRows}, /*seed=*/5));
+    }
   }
-  state.SetItemsProcessed(state.iterations() * table.num_rows());
-  state.counters["domain"] = static_cast<double>(schema.DomainSize());
+  state.SetItemsProcessed(state.iterations() * kCensusShards * kRows);
 }
-BENCHMARK(BM_EfficientGammaPerturb)->DenseRange(2, 8, 2);
+
+void BM_EfficientGammaPerturb(benchmark::State& state) {
+  PerturbCensusShards(state, *core::GammaDiagonalPerturber::Create(
+                                 data::census::Schema(), 19.0));
+}
+BENCHMARK(BM_EfficientGammaPerturb);
 
 void BM_NaiveCdfPerturb(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
@@ -73,8 +87,8 @@ void BM_NaiveCdfPerturb(benchmark::State& state) {
 // 4^8 = 65536: already ~3 orders slower per record than the efficient path.
 BENCHMARK(BM_NaiveCdfPerturb)->DenseRange(2, 8, 2);
 
-// The pre-alias sequential per-column Bernoulli loop, kept as the in-run
-// baseline for the divergence-column kernel.
+// The pre-alias sequential per-column Bernoulli loop: the dependent-column
+// algorithm's per-record cost, against the CDF scan above.
 void BM_SequentialGammaPerturb(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
   const data::CategoricalSchema schema = PowerSchema(m);
@@ -116,15 +130,9 @@ BENCHMARK(BM_SeededGammaPerturb)->Args({6, 1})->Args({6, 2})->Args({6, 4});
 
 void BM_RandomizedGammaPerturb(benchmark::State& state) {
   const data::CategoricalSchema schema = data::census::Schema();
-  const data::CategoricalTable table = RandomTable(schema, 1000);
   const double x = 1.0 / (19.0 + schema.DomainSize() - 1.0);
-  auto perturber =
-      *core::RandomizedGammaPerturber::Create(schema, 19.0, 19.0 * x / 2.0);
-  random::Pcg64 rng(4);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(perturber.Perturb(table, rng));
-  }
-  state.SetItemsProcessed(state.iterations() * table.num_rows());
+  PerturbCensusShards(state, *core::RandomizedGammaPerturber::Create(
+                                 schema, 19.0, 19.0 * x / 2.0));
 }
 BENCHMARK(BM_RandomizedGammaPerturb);
 
@@ -132,12 +140,11 @@ BENCHMARK(BM_RandomizedGammaPerturb);
 // PerturbShardSeeded call per chunk-aligned shard of 8192 CENSUS rows (one
 // seeded chunk, 23 one-hot bits per row), on one thread.
 void BM_MaskPerturb(benchmark::State& state) {
-  constexpr size_t kShards = 4;
   constexpr size_t kRows = data::kShardAlignmentRows;
   const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(
-      *data::census::MakeDataset(kShards * kRows, 5));
+      *data::census::MakeDataset(kCensusShards * kRows, 5));
   std::vector<data::BooleanTable> shards;
-  for (size_t s = 0; s < kShards; ++s) {
+  for (size_t s = 0; s < kCensusShards; ++s) {
     data::BooleanTable shard =
         *data::BooleanTable::CreateEmpty(onehot.num_bits());
     for (size_t i = s * kRows; i < (s + 1) * kRows; ++i) {
@@ -147,12 +154,12 @@ void BM_MaskPerturb(benchmark::State& state) {
   }
   auto scheme = *core::MaskScheme::CalibrateForGamma(19.0, 6);
   for (auto _ : state) {
-    for (size_t s = 0; s < kShards; ++s) {
+    for (size_t s = 0; s < kCensusShards; ++s) {
       benchmark::DoNotOptimize(
           scheme.PerturbShardSeeded(shards[s], s * kRows, /*seed=*/5));
     }
   }
-  state.SetItemsProcessed(state.iterations() * kShards * kRows);
+  state.SetItemsProcessed(state.iterations() * kCensusShards * kRows);
 }
 BENCHMARK(BM_MaskPerturb);
 

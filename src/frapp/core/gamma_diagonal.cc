@@ -99,19 +99,6 @@ std::vector<double> GammaPerturbPlan::DivergenceWeights(double d, double o) cons
   return weights;
 }
 
-size_t GammaPerturbPlan::SampleDivergenceColumn(double d, double o,
-                                                random::Pcg64& rng) const {
-  // The q_j decrease in j, so the divergence column is the first j whose
-  // threshold q_j falls at or below one uniform draw. Realistic matrices
-  // put most mass on column 0 (q_0 << 1), so the scan is short.
-  const double u = rng.NextDouble();
-  const size_t m = cardinalities_.size();
-  for (size_t j = 0; j < m; ++j) {
-    if (u >= d + suffix_minus_one_[j] * o) return j;
-  }
-  return m;
-}
-
 StatusOr<GammaDiagonalPerturber> GammaDiagonalPerturber::Create(
     const data::CategoricalSchema& schema, double gamma) {
   FRAPP_ASSIGN_OR_RETURN(GammaDiagonalMatrix matrix,
@@ -131,9 +118,7 @@ StatusOr<GammaDiagonalPerturber> GammaDiagonalPerturber::Create(
                                 std::move(divergence));
 }
 
-using internal::ChunkRng;
 using internal::ColumnPointers;
-using internal::kPerturbChunkRows;
 
 StatusOr<data::CategoricalTable> GammaDiagonalPerturber::Perturb(
     const data::CategoricalTable& table, random::Pcg64& rng) const {
@@ -179,9 +164,10 @@ StatusOr<data::CategoricalTable> GammaDiagonalPerturber::PerturbShardSeeded(
   internal::ForEachSeededChunk(
       shard.size(), shard.global_begin, seed, num_threads,
       [&](size_t begin, size_t end, random::Pcg64& rng) {
+        internal::BlockDrawCursor draws(rng);
         for (size_t i = begin; i < end; ++i) {
-          plan_.FillRow(divergence_.Sample(rng), cols.in.data(), cols.out.data(),
-                        i, rng);
+          plan_.FillRow(divergence_.Sample(draws), cols.in.data(),
+                        cols.out.data(), i, draws);
         }
       });
   return out;

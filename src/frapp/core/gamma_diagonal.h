@@ -121,14 +121,28 @@ class GammaPerturbPlan {
 
   /// Divergence column for per-record (d, o): one uniform draw inverted
   /// against the q_j thresholds (O(expected scan) ~ 1 for realistic gamma).
-  /// Returns num_attributes() for a full match.
-  size_t SampleDivergenceColumn(double d, double o, random::Pcg64& rng) const;
+  /// Returns num_attributes() for a full match. `Source`, here and in
+  /// FillRow, is random::Pcg64 or a random::UniformDraws source of the same
+  /// stream (internal::BlockDrawCursor in the seeded chunk loops).
+  template <typename Source>
+  size_t SampleDivergenceColumn(double d, double o, Source& rng) const {
+    // The q_j decrease in j, so the divergence column is the first j whose
+    // threshold q_j falls at or below one uniform draw. Realistic matrices
+    // put most mass on column 0 (q_0 << 1), so the scan is short.
+    const double u = rng.NextDouble();
+    const size_t m = cardinalities_.size();
+    for (size_t j = 0; j < m; ++j) {
+      if (u >= d + suffix_minus_one_[j] * o) return j;
+    }
+    return m;
+  }
 
   /// Writes the perturbation of row `i` into the output columns, given the
   /// sampled divergence column: matched prefix copy, one mismatching draw at
   /// the divergence column, uniform suffix.
+  template <typename Source>
   void FillRow(size_t divergence_column, const uint8_t* const* in_cols,
-               uint8_t* const* out_cols, size_t i, random::Pcg64& rng) const {
+               uint8_t* const* out_cols, size_t i, Source& rng) const {
     const size_t m = cardinalities_.size();
     for (size_t j = 0; j < divergence_column; ++j) out_cols[j][i] = in_cols[j][i];
     if (divergence_column >= m) return;

@@ -8,9 +8,7 @@
 namespace frapp {
 namespace core {
 
-using internal::ChunkRng;
 using internal::ColumnPointers;
-using internal::kPerturbChunkRows;
 
 StatusOr<RandomizedGammaPerturber> RandomizedGammaPerturber::Create(
     const data::CategoricalSchema& schema, double gamma, double alpha,
@@ -41,9 +39,10 @@ StatusOr<RandomizedGammaPerturber> RandomizedGammaPerturber::Create(
                                   kind);
 }
 
+template <typename Source>
 void RandomizedGammaPerturber::PerturbRow(const uint8_t* const* in_cols,
                                           uint8_t* const* out_cols, size_t i,
-                                          random::Pcg64& rng) const {
+                                          Source& rng) const {
   // This client's private matrix realization: E[diagonal] = gamma x.
   const double r = random::SampleRandomizationParameter(kind_, alpha_, rng);
   const double d = matrix_.DiagonalValue() + r;
@@ -98,8 +97,9 @@ StatusOr<data::CategoricalTable> RandomizedGammaPerturber::PerturbShardSeeded(
   internal::ForEachSeededChunk(
       shard.size(), shard.global_begin, seed, num_threads,
       [&](size_t begin, size_t end, random::Pcg64& rng) {
+        internal::BlockDrawCursor draws(rng);
         for (size_t i = begin; i < end; ++i) {
-          PerturbRow(cols.in.data(), cols.out.data(), i, rng);
+          PerturbRow(cols.in.data(), cols.out.data(), i, draws);
         }
       });
   return out;

@@ -87,9 +87,11 @@ class RandomizedGammaPerturber {
         kind_(kind) {}
 
   /// One record: draw this client's matrix realization, then divergence
-  /// column + fill.
+  /// column + fill. `Source` is random::Pcg64 or the seeded chunk loop's
+  /// internal::BlockDrawCursor over the same stream.
+  template <typename Source>
   void PerturbRow(const uint8_t* const* in_cols, uint8_t* const* out_cols,
-                  size_t i, random::Pcg64& rng) const;
+                  size_t i, Source& rng) const;
 
   GammaDiagonalMatrix matrix_;
   GammaPerturbPlan plan_;

@@ -1,9 +1,11 @@
 // Shared machinery for deterministic seeded bulk perturbation.
 //
-// Both gamma perturbers split rows into fixed-size chunks whose RNG stream
+// Every bulk perturber splits rows into fixed-size chunks whose RNG stream
 // is a pure function of (master seed, chunk index). The chunk size and the
 // stream derivation ARE the determinism contract — one definition here so
-// the perturbers can never drift apart.
+// the perturbers can never drift apart. BlockDrawCursor reads a chunk's
+// stream in kernel-made blocks; it changes how the draws are made, never
+// which draws a row gets.
 
 #ifndef FRAPP_CORE_SEEDED_CHUNKING_H_
 #define FRAPP_CORE_SEEDED_CHUNKING_H_
@@ -16,6 +18,7 @@
 #include "frapp/common/status.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
+#include "frapp/mining/kernels.h"
 #include "frapp/random/rng.h"
 
 namespace frapp {
@@ -94,6 +97,45 @@ void ForEachSeededChunk(size_t num_rows, size_t global_begin, uint64_t seed,
         fn(begin, end, rng);
       });
 }
+
+/// A chunk stream read through a buffer: yields exactly the outputs, in
+/// order, that Next() on the generator it was built from would, made
+/// kBlockDraws at a time by the active kernel table's pcg64_block (16
+/// jump-ahead lanes at the avx512 level). Its NextDouble / NextBounded /
+/// NextBernoulli are random::UniformDraws' rules, shared with Pcg64, so a
+/// per-row loop templated on its draw source perturbs bit-identically
+/// through either. The source generator is copied, not advanced, and the
+/// unread rest of the last block is dropped: use it where the stream ends
+/// with the loop, as a seeded chunk's does.
+class BlockDrawCursor : public random::UniformDraws<BlockDrawCursor> {
+ public:
+  explicit BlockDrawCursor(const random::Pcg64& rng)
+      : state_(rng.state()),
+        increment_(rng.increment()),
+        fill_(mining::ActiveKernels().pcg64_block) {}
+
+  BlockDrawCursor(const BlockDrawCursor&) = delete;
+  BlockDrawCursor& operator=(const BlockDrawCursor&) = delete;
+
+  uint64_t Next() {
+    if (next_ == kBlockDraws) {
+      fill_(&state_, increment_, kBlockDraws, block_);
+      next_ = 0;
+    }
+    return block_[next_++];
+  }
+
+ private:
+  /// 8 KiB: stays in L1 and wastes little past a chunk's last row, while
+  /// starting the 16 lanes costs about one percent of a block.
+  static constexpr size_t kBlockDraws = 1024;
+
+  unsigned __int128 state_;
+  unsigned __int128 increment_;
+  mining::Pcg64BlockFn fill_;
+  size_t next_ = kBlockDraws;
+  alignas(64) uint64_t block_[kBlockDraws];
+};
 
 /// Gathers the raw column pointers of both tables once per bulk call.
 /// `in_row_offset` shifts the input pointers so that a shard output table

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <vector>
 
+#include "frapp/mining/kernels.h"
+
 namespace frapp {
 namespace data {
 
@@ -241,47 +243,59 @@ StatusOr<CategoricalTable> BinaryShardReader::ReadShard(size_t max_rows) {
   const size_t want = std::min(max_rows, total_rows_ - rows_read_);
   if (want == 0) return table;
 
-  std::vector<char> raw(want * m * 2);
-  in_.read(raw.data(), static_cast<std::streamsize>(raw.size()));
+  // One buffer for every pull; the slack past the cells is the column
+  // decode's (it loads 4 bytes per 2-byte cell).
+  const size_t bytes = want * m * 2;
+  if (raw_.size() < bytes + kDecodeSlackBytes) {
+    raw_.resize(bytes + kDecodeSlackBytes);
+  }
+  in_.read(reinterpret_cast<char*>(raw_.data()),
+           static_cast<std::streamsize>(bytes));
   const size_t got_bytes = static_cast<size_t>(in_.gcount());
-  if (got_bytes != raw.size()) {
+  if (got_bytes != bytes) {
     return Status::InvalidArgument(
         "'" + path_ + "' is truncated: header promises " +
         std::to_string(total_rows_) + " rows but the data ends inside row " +
         std::to_string(rows_read_ + got_bytes / (m * 2)));
   }
 
-  // Scatter the row-major u16 cells into the table's columns, validating
-  // each id against its column's cardinality (the fingerprint pins the
-  // schema, but a corrupt or hand-edited payload must not produce
-  // out-of-range ids downstream).
+  // Decode the row-major u16 cells column by column, validating each id
+  // against its column's cardinality (the fingerprint pins the schema, but a
+  // corrupt or hand-edited payload must not produce out-of-range ids
+  // downstream).
   table.Reserve(want);
   table.AppendZeroRows(want);
-  std::vector<uint8_t*> columns(m);
-  std::vector<uint16_t> cardinality(m);
+  const mining::DecodeU16ColumnFn decode =
+      mining::ActiveKernels().decode_u16_column;
+  bool in_range = true;
   for (size_t j = 0; j < m; ++j) {
-    columns[j] = table.MutableColumnData(j);
-    cardinality[j] = static_cast<uint16_t>(schema_.Cardinality(j));
+    in_range &= decode(raw_.data(), want, m, j,
+                       static_cast<uint32_t>(schema_.Cardinality(j)),
+                       table.MutableColumnData(j));
   }
-  const char* p = raw.data();
-  for (size_t i = 0; i < want; ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      const uint16_t v = static_cast<uint16_t>(
-          static_cast<uint8_t>(p[0]) |
-          (static_cast<uint16_t>(static_cast<uint8_t>(p[1])) << 8));
-      p += 2;
-      if (v >= cardinality[j]) {
+  if (!in_range) return OutOfRangeCellError(want);
+  rows_read_ += want;
+  return table;
+}
+
+Status BinaryShardReader::OutOfRangeCellError(size_t rows) const {
+  // Row-major, so the error names the first bad cell in file order.
+  const size_t m = schema_.num_attributes();
+  const uint8_t* p = raw_.data();
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < m; ++j, p += 2) {
+      const uint16_t v = static_cast<uint16_t>(p[0] | (p[1] << 8));
+      const size_t cardinality = schema_.Cardinality(j);
+      if (v >= cardinality) {
         return Status::InvalidArgument(
             "'" + path_ + "' row " + std::to_string(rows_read_ + i) +
             ": cell id " + std::to_string(v) + " exceeds cardinality " +
-            std::to_string(cardinality[j]) + " of column '" +
+            std::to_string(cardinality) + " of column '" +
             schema_.attribute(j).name + "'");
       }
-      columns[j][i] = static_cast<uint8_t>(v);
     }
   }
-  rows_read_ += want;
-  return table;
+  return Status::Internal("cell decode flagged an id that is in range");
 }
 
 }  // namespace data

@@ -30,6 +30,14 @@
 // contract as the CSV path. Unlike CSV, the row count is in the header, so
 // the reader exposes total_rows() up front.
 //
+// A pull reads its rows' cells into one buffer the reader keeps for its
+// lifetime, then decodes them column by column through the kernel table's
+// decode_u16_column (scalar oracle; 16 cells per vpgatherdd at the avx512
+// level), which also folds the cardinality check of the whole column into
+// one flag. Only a pull whose flag trips walks its cells again, row-major,
+// so the error names the first bad cell in file order: its row, id and
+// column, exactly as a cell-at-a-time reader would.
+//
 // Not thread-safe: one reader per stream, advanced by a single producer
 // thread (the TableSource contract).
 
@@ -39,6 +47,7 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "frapp/common/statusor.h"
 #include "frapp/data/table.h"
@@ -96,11 +105,19 @@ class BinaryShardReader {
   BinaryShardReader(std::string path, CategoricalSchema schema)
       : path_(std::move(path)), schema_(std::move(schema)) {}
 
+  /// The error for the first out-of-range cell, in file order, of the
+  /// `rows` rows in raw_ (the pull in progress).
+  Status OutOfRangeCellError(size_t rows) const;
+
+  /// Bytes past the last cell that the column decode may read.
+  static constexpr size_t kDecodeSlackBytes = 2;
+
   std::string path_;
   CategoricalSchema schema_;
   std::ifstream in_;
   size_t total_rows_ = 0;
   size_t rows_read_ = 0;
+  std::vector<uint8_t> raw_;  // the last pull's cells, plus decode slack
 };
 
 }  // namespace data

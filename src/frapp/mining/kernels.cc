@@ -1,6 +1,7 @@
 #include "frapp/mining/kernels.h"
 
 #include <atomic>
+#include <climits>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -69,6 +70,28 @@ void BernoulliBitsScalar(unsigned __int128 state, unsigned __int128 increment,
     }
     out[w] = word;
   }
+}
+
+void Pcg64BlockScalar(unsigned __int128* state, unsigned __int128 increment,
+                      size_t n, uint64_t* out) {
+  unsigned __int128 s = *state;
+  for (size_t i = 0; i < n; ++i) {
+    s = s * random::Pcg64::kMultiplier + increment;
+    out[i] = random::Pcg64::Output(s);
+  }
+  *state = s;
+}
+
+bool DecodeU16ColumnScalar(const uint8_t* cells, size_t rows, size_t columns,
+                           size_t column, uint32_t cardinality, uint8_t* out) {
+  const uint8_t* cell = cells + 2 * column;
+  bool out_of_range = false;
+  for (size_t i = 0; i < rows; ++i, cell += 2 * columns) {
+    const uint32_t id = cell[0] | (static_cast<uint32_t>(cell[1]) << 8);
+    out_of_range |= id >= cardinality;
+    out[i] = static_cast<uint8_t>(id);
+  }
+  return !out_of_range;
 }
 
 // ------------------------------------------------------------- harley-seal --
@@ -308,17 +331,17 @@ __attribute__((target("avx512f,avx512bw"))) void TransposeBytesAvx512(
                        planes + blocks, stride);
 }
 
-// Bernoulli bits: 16 lanes of the one PCG64 stream in two zmm groups of 8
-// (two independent multiply chains). Lane j starts on the state j + 1 steps
-// on and then jumps 16 steps at a time, so one pass over both groups makes
-// draws [16t, 16t + 16) in lane order. A 128-bit state is a (lo, hi) pair
+// Bernoulli bits and PCG64 blocks: 16 lanes of the one PCG64 stream in two
+// zmm groups of 8 (two independent multiply chains). Lane j starts on the
+// state j + 1 steps on and then jumps 16 steps at a time, so one pass over
+// both groups makes draws [16t, 16t + 16) in lane order. A 128-bit state is a (lo, hi) pair
 // of 64-bit lanes. Of the product with the jump multiplier (a_lo, a_hi),
 // lo * a_lo is needed in full (128 bits), built from four 32x32 vpmuludq
 // partials; the cross terms lo * a_hi and hi * a_lo only in their low 64
 // bits, which is AVX-512DQ's vpmullq.
 
-// Same GCC false positive as above, here on the unmasked shift, multiply and
-// rotate intrinsics.
+// Same GCC false positive as above, here on the unmasked shift, multiply,
+// rotate, gather and narrowing intrinsics.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wuninitialized"
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -365,18 +388,18 @@ __attribute__((target("avx512f,avx512dq"))) inline void StepLcgLanes(
   hi = _mm512_mask_add_epi64(hi, carry, hi, _mm512_set1_epi64(1));
 }
 
-/// Bit j set iff lane j's PCG-XSL-RR output x has (x >> 11) < threshold.
-__attribute__((target("avx512f"))) inline unsigned BernoulliLanes(
-    __m512i lo, __m512i hi, __m512i threshold) {
-  const __m512i draw = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo),
-                                         _mm512_srli_epi64(hi, 58));
-  return _mm512_cmplt_epu64_mask(_mm512_srli_epi64(draw, 11), threshold);
-}
+/// 16 lanes of one PCG64 stream in two groups of 8 (a: lanes 0-7, b: lanes
+/// 8-15): lane j starts on the state j + 1 steps on, and StepLanes moves
+/// every lane 16 steps, so each pass over a then b makes the next 16 draws
+/// in lane order.
+struct LcgLanes {
+  __m512i lo_a, hi_a, lo_b, hi_b;
+  Broadcast128 jump;
+  __m512i plus_lo, plus_hi;
+};
 
-__attribute__((target("avx512f,avx512dq"))) void BernoulliBitsAvx512(
-    unsigned __int128 state, unsigned __int128 increment, uint64_t threshold,
-    size_t n, uint64_t* out) {
-  if (n == 0) return;
+__attribute__((target("avx512f"))) inline LcgLanes StartLcgLanes(
+    unsigned __int128 state, unsigned __int128 increment) {
   constexpr size_t kLanes = 16;
   alignas(64) uint64_t lo[kLanes], hi[kLanes];
   for (size_t j = 0; j < kLanes; ++j) {
@@ -386,23 +409,52 @@ __attribute__((target("avx512f,avx512dq"))) void BernoulliBitsAvx512(
   }
   unsigned __int128 mult, plus;
   random::Pcg64::JumpCoefficients(kLanes, increment, &mult, &plus);
-  const Broadcast128 jump = BroadcastWords(mult);
-  const __m512i plus_lo =
-      _mm512_set1_epi64(static_cast<long long>(static_cast<uint64_t>(plus)));
-  const __m512i plus_hi = _mm512_set1_epi64(
-      static_cast<long long>(static_cast<uint64_t>(plus >> 64)));
+  return {_mm512_load_si512(lo),
+          _mm512_load_si512(hi),
+          _mm512_load_si512(lo + 8),
+          _mm512_load_si512(hi + 8),
+          BroadcastWords(mult),
+          _mm512_set1_epi64(static_cast<long long>(static_cast<uint64_t>(plus))),
+          _mm512_set1_epi64(
+              static_cast<long long>(static_cast<uint64_t>(plus >> 64)))};
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline void StepLanes(
+    LcgLanes& lanes) {
+  StepLcgLanes(lanes.lo_a, lanes.hi_a, lanes.jump, lanes.plus_lo,
+               lanes.plus_hi);
+  StepLcgLanes(lanes.lo_b, lanes.hi_b, lanes.jump, lanes.plus_lo,
+               lanes.plus_hi);
+}
+
+/// PCG-XSL-RR output of 8 lanes (random::Pcg64::Output): xor-fold, then
+/// rotate right by the state's top 6 bits.
+__attribute__((target("avx512f"))) inline __m512i OutputLanes(__m512i lo,
+                                                              __m512i hi) {
+  return _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+}
+
+/// Bit j set iff lane j's PCG-XSL-RR output x has (x >> 11) < threshold.
+__attribute__((target("avx512f"))) inline unsigned BernoulliLanes(
+    __m512i lo, __m512i hi, __m512i threshold) {
+  return _mm512_cmplt_epu64_mask(_mm512_srli_epi64(OutputLanes(lo, hi), 11),
+                                 threshold);
+}
+
+__attribute__((target("avx512f,avx512dq"))) void BernoulliBitsAvx512(
+    unsigned __int128 state, unsigned __int128 increment, uint64_t threshold,
+    size_t n, uint64_t* out) {
+  if (n == 0) return;
+  LcgLanes lanes = StartLcgLanes(state, increment);
   const __m512i t = _mm512_set1_epi64(static_cast<long long>(threshold));
-  __m512i lo_a = _mm512_load_si512(lo), hi_a = _mm512_load_si512(hi);
-  __m512i lo_b = _mm512_load_si512(lo + 8), hi_b = _mm512_load_si512(hi + 8);
   const size_t words = (n + 63) / 64;
   for (size_t w = 0; w < words; ++w) {
     uint64_t word = 0;
     for (unsigned k = 0; k < 4; ++k) {
-      const unsigned bits = BernoulliLanes(lo_a, hi_a, t) |
-                            (BernoulliLanes(lo_b, hi_b, t) << 8);
+      const unsigned bits = BernoulliLanes(lanes.lo_a, lanes.hi_a, t) |
+                            (BernoulliLanes(lanes.lo_b, lanes.hi_b, t) << 8);
       word |= static_cast<uint64_t>(bits) << (16 * k);
-      StepLcgLanes(lo_a, hi_a, jump, plus_lo, plus_hi);
-      StepLcgLanes(lo_b, hi_b, jump, plus_lo, plus_hi);
+      StepLanes(lanes);
     }
     out[w] = word;
   }
@@ -410,23 +462,95 @@ __attribute__((target("avx512f,avx512dq"))) void BernoulliBitsAvx512(
   if (n % 64 != 0) out[words - 1] &= (uint64_t{1} << (n % 64)) - 1;
 }
 
+__attribute__((target("avx512f,avx512dq"))) void Pcg64BlockAvx512(
+    unsigned __int128* state, unsigned __int128 increment, size_t n,
+    uint64_t* out) {
+  // Below a few lane passes, starting the lanes costs more than they save.
+  if (n < 64) {
+    Pcg64BlockScalar(state, increment, n, out);
+    return;
+  }
+  LcgLanes lanes = StartLcgLanes(*state, increment);
+  // Every pass but the last stores 16 draws straight from the lanes. The
+  // last 1-16 draws are read off the lanes' states, which also hold the
+  // state draw n - 1 left: after `passes` steps lane j stands on state
+  // 16 * passes + j + 1, the one draw 16 * passes + j is the output of.
+  const size_t passes = (n - 1) / 16;
+  for (size_t p = 0; p < passes; ++p) {
+    _mm512_storeu_si512(out + 16 * p, OutputLanes(lanes.lo_a, lanes.hi_a));
+    _mm512_storeu_si512(out + 16 * p + 8, OutputLanes(lanes.lo_b, lanes.hi_b));
+    StepLanes(lanes);
+  }
+  alignas(64) uint64_t lo[16], hi[16];
+  _mm512_store_si512(lo, lanes.lo_a);
+  _mm512_store_si512(lo + 8, lanes.lo_b);
+  _mm512_store_si512(hi, lanes.hi_a);
+  _mm512_store_si512(hi + 8, lanes.hi_b);
+  const size_t rest = n - 16 * passes;  // 1..16
+  unsigned __int128 lane_state = 0;
+  for (size_t j = 0; j < rest; ++j) {
+    lane_state = (static_cast<unsigned __int128>(hi[j]) << 64) | lo[j];
+    out[16 * passes + j] = random::Pcg64::Output(lane_state);
+  }
+  *state = lane_state;
+}
+
+// Column decode: vpgatherdd loads the 4 bytes at each of 16 rows' cells
+// (the cell and the next one's low half, hence the 2 bytes of slack the
+// contract asks for), the low 16 bits are the id, one unsigned compare per
+// pass ORs the range check into a mask, and vpmovdb narrows the 16 ids to
+// bytes.
+__attribute__((target("avx512f"))) bool DecodeU16ColumnAvx512(
+    const uint8_t* cells, size_t rows, size_t columns, size_t column,
+    uint32_t cardinality, uint8_t* out) {
+  const size_t row_bytes = 2 * columns;
+  // The gather's indices are int32 byte offsets of 16 consecutive rows.
+  if (row_bytes > INT32_MAX / 16) {
+    return DecodeU16ColumnScalar(cells, rows, columns, column, cardinality,
+                                 out);
+  }
+  const __m512i offsets = _mm512_mullo_epi32(
+      _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+      _mm512_set1_epi32(static_cast<int>(row_bytes)));
+  const __m512i low16 = _mm512_set1_epi32(0xffff);
+  const __m512i bound = _mm512_set1_epi32(static_cast<int>(cardinality));
+  __mmask16 out_of_range = 0;
+  const uint8_t* cell = cells + 2 * column;
+  size_t i = 0;
+  for (; i + 16 <= rows; i += 16, cell += 16 * row_bytes) {
+    const __m512i ids =
+        _mm512_and_si512(_mm512_i32gather_epi32(offsets, cell, 1), low16);
+    out_of_range |= _mm512_cmpge_epu32_mask(ids, bound);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + i),
+                     _mm512_cvtepi32_epi8(ids));
+  }
+  const bool tail_in_range =
+      DecodeU16ColumnScalar(cells + i * row_bytes, rows - i, columns, column,
+                            cardinality, out + i);
+  return tail_in_range && out_of_range == 0;
+}
+
 #pragma GCC diagnostic pop
 
 #endif  // FRAPP_KERNELS_X86
 
 constexpr KernelTable kScalarTable = {
-    IntersectPopcountScalar, PopcountRangeScalar, TransposeBytesScalar,
-    BernoulliBitsScalar, KernelLevel::kScalar};
+    IntersectPopcountScalar, PopcountRangeScalar,   TransposeBytesScalar,
+    BernoulliBitsScalar,     Pcg64BlockScalar,      DecodeU16ColumnScalar,
+    KernelLevel::kScalar};
 constexpr KernelTable kHarleySealTable = {
     IntersectPopcountHarleySeal, PopcountRangeHarleySeal, TransposeBytesScalar,
-    BernoulliBitsScalar, KernelLevel::kHarleySeal};
+    BernoulliBitsScalar,         Pcg64BlockScalar,        DecodeU16ColumnScalar,
+    KernelLevel::kHarleySeal};
 #ifdef FRAPP_KERNELS_X86
-constexpr KernelTable kAvx2Table = {IntersectPopcountAvx2, PopcountRangeAvx2,
-                                    TransposeBytesAvx2, BernoulliBitsScalar,
-                                    KernelLevel::kAvx2};
+constexpr KernelTable kAvx2Table = {
+    IntersectPopcountAvx2, PopcountRangeAvx2, TransposeBytesAvx2,
+    BernoulliBitsScalar,   Pcg64BlockScalar,  DecodeU16ColumnScalar,
+    KernelLevel::kAvx2};
 constexpr KernelTable kAvx512Table = {
     IntersectPopcountAvx512, PopcountRangeAvx512, TransposeBytesAvx512,
-    BernoulliBitsAvx512, KernelLevel::kAvx512};
+    BernoulliBitsAvx512,     Pcg64BlockAvx512,    DecodeU16ColumnAvx512,
+    KernelLevel::kAvx512};
 #endif
 
 /// The resolved default table (dispatch decision applied once).

@@ -6,28 +6,34 @@
 // supports, boolean superset counts). Every categorical index build bottoms
 // out in one transpose: a byte column of category ids into one bitmap plane
 // per category. MASK's perturbation bottoms out in one stream of Bernoulli
-// bits: one PCG64 draw per one-hot bit, packed LSB-first. This header
-// exposes all four as function pointers resolved ONCE per process into the
-// widest implementation the host supports:
+// bits: one PCG64 draw per one-hot bit, packed LSB-first. The gamma
+// perturbers bottom out in raw PCG64 blocks, and FRAPPBIN ingest in the
+// decode of one u16 cell column into category bytes. This header exposes
+// all six as function pointers resolved ONCE per process into the widest
+// implementation the host supports:
 //
 //   scalar       portable word loop + __builtin_popcountll (always compiled);
 //                the transpose ORs each 64-row block into a small per-block
 //                accumulator array and stores each plane word once; the
-//                Bernoulli bits run the plain one-stream LCG loop
+//                Bernoulli bits and PCG64 blocks run the plain one-stream
+//                LCG loop; the column decode reads one cell at a time
 //   harley-seal  portable carry-save-adder accumulation: 16-word blocks fold
 //                into a bit-sliced counter network, so only one popcount is
 //                paid per 16 words — the long-bitmap-run rung for hosts
 //                without wide SIMD (always compiled, never auto-picked over
-//                a SIMD level); scalar transpose and Bernoulli bits
+//                a SIMD level); scalar everything else
 //   avx2         256-bit AND chains, nibble-lookup (vpshufb) popcount folded
 //                with vpsadbw — the Mula technique; the transpose compares
 //                64 ids against each category (vpcmpeqb) and packs the
-//                result with vpmovmskb; scalar Bernoulli bits
+//                result with vpmovmskb; scalar Bernoulli bits, PCG64 blocks
+//                and column decode
 //   avx512       512-bit AND chains + native vpopcntq (AVX-512 VPOPCNTDQ),
 //                masked loads for the tail; the transpose is one AVX-512BW
 //                byte compare into a 64-bit mask per category; the Bernoulli
-//                bits run 16 jump-ahead lanes of the one stream (below),
-//                with AVX-512DQ's vpmullq in the 128-bit multiply
+//                bits and PCG64 blocks run 16 jump-ahead lanes of the one
+//                stream (below), with AVX-512DQ's vpmullq in the 128-bit
+//                multiply; the column decode gathers 16 cells per vpgatherdd
+//                and narrows them with vpmovdb
 //
 // Counts are INTEGERS, so every level returns bit-identical results on any
 // input — vectorization reorders only additions of non-negative word
@@ -44,12 +50,17 @@
 // (random::Pcg64::JumpCoefficients), so L lanes started on consecutive
 // states and each stepped L at a time walk the one stream in order, lane j
 // making draws j, j + L, j + 2L, ... Every level therefore writes the same
-// bits the sequential NextBernoulli(q) loop decides.
+// bits the sequential NextBernoulli(q) loop decides, and the same raw draws,
+// in the same order, as n calls of Next().
 //
-// The environment variable FRAPP_FORCE_KERNEL={scalar,avx2,avx512} pins the
-// dispatch for testing and benchmarking; forcing a level the host cannot run
-// falls back to the best supported one (with a one-time stderr warning)
-// instead of crashing on SIGILL. The SIMD bodies are compiled via GCC/Clang
+// The column decode is exact by construction: every level reads the same
+// two bytes per cell and folds the same `>= cardinality` test, so only the
+// load width differs.
+//
+// The environment variable FRAPP_FORCE_KERNEL={scalar,harley-seal,avx2,
+// avx512} pins the dispatch for testing and benchmarking; forcing a level the
+// host cannot run falls back to the best supported one (with a one-time
+// stderr warning) instead of crashing on SIGILL. The SIMD bodies are compiled via GCC/Clang
 // `target` attributes, so no special compiler flags are needed and the
 // binary stays runnable on any x86-64; non-x86 builds compile the scalar
 // level only. The dispatch table is the seam future backends (NEON, GPU
@@ -103,12 +114,33 @@ using BernoulliBitsFn = void (*)(unsigned __int128 state,
                                  unsigned __int128 increment,
                                  uint64_t threshold, size_t n, uint64_t* out);
 
+/// Raw PCG64 block: writes the n outputs that n calls of Next() on the
+/// generator at LCG `*state` with `increment` would return, out[i] being
+/// draw i, and leaves *state where those n calls leave it (unchanged for
+/// n = 0). The gamma perturbers' per-row loops read their chunk streams
+/// through such blocks (core::internal::BlockDrawCursor).
+using Pcg64BlockFn = void (*)(unsigned __int128* state,
+                              unsigned __int128 increment, size_t n,
+                              uint64_t* out);
+
+/// One column of a row-major little-endian u16 cell grid of `rows` rows by
+/// `columns` cells: out[i] = low byte of cell (i, column), the cell starting
+/// at byte 2 * (i * columns + column) of `cells`. Returns false iff some
+/// cell id of the column is >= cardinality (out then holds unspecified
+/// bytes). Wider levels load 4 bytes per cell, so `cells` must stay
+/// readable for 2 bytes past the last cell of the grid.
+using DecodeU16ColumnFn = bool (*)(const uint8_t* cells, size_t rows,
+                                   size_t columns, size_t column,
+                                   uint32_t cardinality, uint8_t* out);
+
 /// One resolved implementation set. All members non-null.
 struct KernelTable {
   IntersectPopcountFn intersect_popcount;
   PopcountRangeFn popcount_range;
   TransposeBytesFn transpose_bytes;
   BernoulliBitsFn bernoulli_bits;
+  Pcg64BlockFn pcg64_block;
+  DecodeU16ColumnFn decode_u16_column;
   KernelLevel level;
 };
 

@@ -23,10 +23,15 @@ class AliasSampler {
   static StatusOr<AliasSampler> Create(const std::vector<double>& weights);
 
   /// Draws one index: a uniform bucket, then that bucket's acceptance coin.
-  size_t Sample(Pcg64& rng) const {
+  /// `Source` is Pcg64 or another UniformDraws source of the same stream.
+  template <typename Source>
+  size_t Sample(Source& rng) const {
     const size_t bucket =
         static_cast<size_t>(rng.NextBounded(probability_.size()));
-    return rng.NextDouble() < probability_[bucket] ? bucket : alias_[bucket];
+    // Both outcomes loaded up front so the choice compiles to a select: the
+    // coin is a coin, and a branch on it mispredicts often.
+    const size_t alias = alias_[bucket];
+    return rng.NextDouble() < probability_[bucket] ? bucket : alias;
   }
 
   size_t size() const { return probability_.size(); }

@@ -1,7 +1,7 @@
 #include "frapp/random/distributions.h"
 
 #include <algorithm>
-#include <cmath>
+#include <ostream>
 #include <unordered_set>
 
 #include "frapp/common/check.h"
@@ -48,30 +48,6 @@ size_t SampleBinomial(size_t n, double p, Pcg64& rng) {
   return count;
 }
 
-double SampleRandomizationParameter(RandomizationKind kind, double alpha, Pcg64& rng) {
-  FRAPP_CHECK_GE(alpha, 0.0);
-  if (alpha == 0.0) return 0.0;
-  switch (kind) {
-    case RandomizationKind::kUniform:
-      return rng.NextDouble(-alpha, alpha);
-    case RandomizationKind::kTwoPoint:
-      return rng.NextBernoulli(0.5) ? alpha : -alpha;
-    case RandomizationKind::kTruncatedGaussian: {
-      // Box-Muller with rejection outside [-alpha, alpha].
-      const double sigma = alpha / 2.0;
-      for (int attempt = 0; attempt < 64; ++attempt) {
-        const double u1 = std::max(rng.NextDouble(), 1e-300);
-        const double u2 = rng.NextDouble();
-        const double z = std::sqrt(-2.0 * std::log(u1)) *
-                         std::cos(2.0 * M_PI * u2) * sigma;
-        if (z >= -alpha && z <= alpha) return z;
-      }
-      return 0.0;  // Astronomically unlikely; keep the zero-mean property.
-    }
-  }
-  return 0.0;
-}
-
 const char* RandomizationKindName(RandomizationKind kind) {
   switch (kind) {
     case RandomizationKind::kUniform:
@@ -82,6 +58,10 @@ const char* RandomizationKindName(RandomizationKind kind) {
       return "trunc-gaussian";
   }
   return "?";
+}
+
+void PrintTo(RandomizationKind kind, std::ostream* os) {
+  *os << RandomizationKindName(kind);
 }
 
 }  // namespace random

@@ -5,9 +5,13 @@
 #ifndef FRAPP_RANDOM_DISTRIBUTIONS_H_
 #define FRAPP_RANDOM_DISTRIBUTIONS_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
+#include <iosfwd>
 #include <vector>
 
+#include "frapp/common/check.h"
 #include "frapp/common/statusor.h"
 #include "frapp/random/rng.h"
 
@@ -36,10 +40,40 @@ enum class RandomizationKind {
 };
 
 /// Draws r with E[r] = 0 and support [-alpha, alpha] from the chosen family.
-double SampleRandomizationParameter(RandomizationKind kind, double alpha, Pcg64& rng);
+/// `Source` is Pcg64 or another UniformDraws source (RAN-GD's seeded chunk
+/// loop draws through a block cursor of the chunk stream).
+template <typename Source>
+double SampleRandomizationParameter(RandomizationKind kind, double alpha,
+                                    Source& rng) {
+  FRAPP_CHECK_GE(alpha, 0.0);
+  if (alpha == 0.0) return 0.0;
+  switch (kind) {
+    case RandomizationKind::kUniform:
+      return rng.NextDouble(-alpha, alpha);
+    case RandomizationKind::kTwoPoint:
+      return rng.NextBernoulli(0.5) ? alpha : -alpha;
+    case RandomizationKind::kTruncatedGaussian: {
+      // Box-Muller with rejection outside [-alpha, alpha].
+      const double sigma = alpha / 2.0;
+      for (int attempt = 0; attempt < 64; ++attempt) {
+        const double u1 = std::max(rng.NextDouble(), 1e-300);
+        const double u2 = rng.NextDouble();
+        const double z = std::sqrt(-2.0 * std::log(u1)) *
+                         std::cos(2.0 * M_PI * u2) * sigma;
+        if (z >= -alpha && z <= alpha) return z;
+      }
+      return 0.0;  // Astronomically unlikely; keep the zero-mean property.
+    }
+  }
+  return 0.0;
+}
 
 /// Name for reports ("uniform", "two-point", "trunc-gaussian").
 const char* RandomizationKindName(RandomizationKind kind);
+
+/// Prints RandomizationKindName, so parameterised test names read
+/// ".../uniform" instead of a raw byte dump (GoogleTest finds it by ADL).
+void PrintTo(RandomizationKind kind, std::ostream* os);
 
 }  // namespace random
 }  // namespace frapp

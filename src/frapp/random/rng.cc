@@ -42,11 +42,6 @@ uint64_t Pcg64::BernoulliThreshold(double p) {
   return static_cast<uint64_t>(std::ceil(std::ldexp(p, 53)));
 }
 
-double Pcg64::NextDouble(double lo, double hi) {
-  FRAPP_CHECK_LE(lo, hi);
-  return lo + (hi - lo) * NextDouble();
-}
-
 Pcg64 Pcg64::Split() {
   // A fresh generator seeded from two outputs of this one; distinct stream
   // constants guarantee different sequences even under seed collision.

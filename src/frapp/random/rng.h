@@ -5,7 +5,10 @@
 // are reproducible from a single seed. The generator is PCG64 (PCG-XSL-RR
 // 128/64), which is fast, statistically strong and tiny. The per-draw
 // methods are defined inline below: the perturbers make several draws per
-// record, and an out-of-line call per draw costs as much as the draw.
+// record, and an out-of-line call per draw costs as much as the draw. The
+// rules that turn raw 64-bit outputs into doubles, bounded integers and
+// Bernoulli trials live in UniformDraws, shared with every other source of
+// the same outputs (core/seeded_chunking.h's block cursor).
 
 #ifndef FRAPP_RANDOM_RNG_H_
 #define FRAPP_RANDOM_RNG_H_
@@ -17,9 +20,57 @@
 namespace frapp {
 namespace random {
 
+/// The draw rules built on a source's raw 64-bit Next(): a 53-bit double,
+/// Lemire's bias-free bounded integer and a Bernoulli trial. Defined once
+/// here and inherited (CRTP) by every source, so two sources that yield the
+/// same raw outputs also yield the same doubles, the same bounded integers
+/// and the same rejections.
+template <typename Source>
+class UniformDraws {
+ public:
+  /// Uniform double in [0, 1) with 53 bits of precision.
+  double NextDouble() {
+    // 53 high bits -> [0, 1).
+    return static_cast<double>(Self().Next() >> 11) * 0x1.0p-53;
+  }
+
+  /// Uniform double in [lo, hi).
+  double NextDouble(double lo, double hi) {
+    FRAPP_CHECK_LE(lo, hi);
+    return lo + (hi - lo) * NextDouble();
+  }
+
+  /// Uniform integer in [0, bound), bias-free (Lemire rejection).
+  uint64_t NextBounded(uint64_t bound) {
+    FRAPP_CHECK_GT(bound, 0u);
+    // Lemire's multiply-shift with rejection for exact uniformity.
+    unsigned __int128 product =
+        static_cast<unsigned __int128>(Self().Next()) * bound;
+    uint64_t low = static_cast<uint64_t>(product);
+    if (low < bound) {
+      const uint64_t threshold = (-bound) % bound;
+      while (low < threshold) {
+        product = static_cast<unsigned __int128>(Self().Next()) * bound;
+        low = static_cast<uint64_t>(product);
+      }
+    }
+    return static_cast<uint64_t>(product >> 64);
+  }
+
+  /// Bernoulli trial with success probability p.
+  bool NextBernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
+
+ private:
+  Source& Self() { return static_cast<Source&>(*this); }
+};
+
 /// PCG-XSL-RR 128/64 generator. Satisfies the C++ UniformRandomBitGenerator
 /// requirements so it also composes with <random> if ever needed.
-class Pcg64 {
+class Pcg64 : public UniformDraws<Pcg64> {
  public:
   using result_type = uint64_t;
 
@@ -68,38 +119,6 @@ class Pcg64 {
   /// Skips n draws in O(log n): the generator then stands exactly where n
   /// calls of Next() would have left it.
   void Advance(uint64_t n);
-
-  /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble() {
-    // 53 high bits -> [0, 1).
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-
-  /// Uniform double in [lo, hi).
-  double NextDouble(double lo, double hi);
-
-  /// Uniform integer in [0, bound), bias-free (Lemire rejection).
-  uint64_t NextBounded(uint64_t bound) {
-    FRAPP_CHECK_GT(bound, 0u);
-    // Lemire's multiply-shift with rejection for exact uniformity.
-    unsigned __int128 product = static_cast<unsigned __int128>(Next()) * bound;
-    uint64_t low = static_cast<uint64_t>(product);
-    if (low < bound) {
-      const uint64_t threshold = (-bound) % bound;
-      while (low < threshold) {
-        product = static_cast<unsigned __int128>(Next()) * bound;
-        low = static_cast<uint64_t>(product);
-      }
-    }
-    return static_cast<uint64_t>(product >> 64);
-  }
-
-  /// Bernoulli trial with success probability p.
-  bool NextBernoulli(double p) {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return NextDouble() < p;
-  }
 
   /// Integer form of NextBernoulli(p): for every draw x of Next(),
   /// NextBernoulli(p) is true exactly when (x >> 11) < BernoulliThreshold(p).

@@ -6,7 +6,10 @@
 
 #include "frapp/core/naive_perturber.h"
 #include "frapp/core/privacy.h"
+#include "frapp/data/census.h"
 #include "frapp/linalg/condition.h"
+#include "frapp/random/alias_sampler.h"
+#include "seeded_oracle.h"
 
 namespace frapp {
 namespace core {
@@ -196,6 +199,21 @@ TEST(GammaDiagonalPerturberTest, HighGammaMostlyPreservesRecords) {
     unchanged += (out->Row(i) == std::vector<uint8_t>{1, 1, 1}) ? 1 : 0;
   }
   EXPECT_GT(unchanged, 990u);
+}
+
+TEST(GammaDiagonalPerturberTest, ShardSeededMatchesPcg64OracleAtEveryLevel) {
+  const GammaDiagonalPerturber perturber =
+      *GammaDiagonalPerturber::Create(data::census::Schema(), 19.0);
+  const random::AliasSampler divergence =
+      *random::AliasSampler::Create(perturber.plan().DivergenceWeights(
+          perturber.matrix().DiagonalValue(),
+          perturber.matrix().OffDiagonalValue()));
+  testing_oracle::ExpectShardSeededMatchesPcg64Oracle(
+      perturber, 101,
+      [&](const uint8_t* const* in, uint8_t* const* out, size_t i,
+          random::Pcg64& rng) {
+        perturber.plan().FillRow(divergence.Sample(rng), in, out, i, rng);
+      });
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "frapp/data/census.h"
+#include "seeded_oracle.h"
+
 namespace frapp {
 namespace core {
 namespace {
@@ -129,6 +134,38 @@ TEST(RandomizedGammaTest, SchemaMismatchRejected) {
   ASSERT_TRUE(t.ok());
   random::Pcg64 rng(1);
   EXPECT_FALSE(p->Perturb(*t, rng).ok());
+}
+
+TEST(RandomizedGammaTest, ShardSeededMatchesPcg64OracleAtEveryLevel) {
+  const data::CategoricalSchema schema = data::census::Schema();
+  std::vector<size_t> cardinalities(schema.num_attributes());
+  for (size_t j = 0; j < cardinalities.size(); ++j) {
+    cardinalities[j] = schema.Cardinality(j);
+  }
+  const GammaPerturbPlan plan =
+      *GammaPerturbPlan::Create(cardinalities, schema.DomainSize());
+  for (random::RandomizationKind kind :
+       {random::RandomizationKind::kUniform, random::RandomizationKind::kTwoPoint,
+        random::RandomizationKind::kTruncatedGaussian}) {
+    SCOPED_TRACE(random::RandomizationKindName(kind));
+    const GammaDiagonalMatrix matrix =
+        *GammaDiagonalMatrix::Create(19.0, schema.DomainSize());
+    const double alpha = matrix.DiagonalValue() / 2.0;
+    const RandomizedGammaPerturber perturber =
+        *RandomizedGammaPerturber::Create(schema, 19.0, alpha, kind);
+    const double n = static_cast<double>(schema.DomainSize());
+    testing_oracle::ExpectShardSeededMatchesPcg64Oracle(
+        perturber, 202,
+        [&](const uint8_t* const* in, uint8_t* const* out, size_t i,
+            random::Pcg64& rng) {
+          const double r =
+              random::SampleRandomizationParameter(kind, alpha, rng);
+          const double d = matrix.DiagonalValue() + r;
+          const double o = matrix.OffDiagonalValue() - r / (n - 1.0);
+          plan.FillRow(plan.SampleDivergenceColumn(d, o, rng), in, out, i,
+                       rng);
+        });
+  }
 }
 
 }  // namespace

@@ -221,24 +221,54 @@ TEST(ShardIoTest, TruncatedPayloadNamesTheRow) {
 }
 
 TEST(ShardIoTest, OutOfRangeCellIdNamesRowAndColumn) {
-  const CategoricalTable table = *census::MakeDataset(100, 5);
+  // 20 rows: one full 16-row decode pass plus a tail, in every column.
+  const CategoricalTable table = *census::MakeDataset(20, 5);
+  const CategoricalSchema& schema = table.schema();
+  const size_t m = table.num_attributes();
   const std::string path = TempPath("corrupt");
   ASSERT_TRUE(WriteBinaryTable(table, path).ok());
-  // Overwrite row 7, column 0's u16 with an id past the cardinality.
-  {
+  const size_t header = 32;
+  auto write_cell = [&](size_t row, size_t column, uint16_t id) {
     std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    const size_t header = 32;
-    const size_t cell = header + 7 * table.num_attributes() * 2;
-    file.seekp(static_cast<std::streamoff>(cell));
-    const char big[2] = {static_cast<char>(0xff), static_cast<char>(0x7f)};
-    file.write(big, 2);
+    file.seekp(static_cast<std::streamoff>(header + (row * m + column) * 2));
+    const char bytes[2] = {static_cast<char>(id & 0xff),
+                           static_cast<char>(id >> 8)};
+    file.write(bytes, 2);
+  };
+  for (size_t row = 0; row < table.num_rows(); ++row) {
+    for (size_t column = 0; column < m; ++column) {
+      // The smallest bad id, or one past every u8 id.
+      const uint16_t bad = (row + column) % 2 == 0
+                               ? static_cast<uint16_t>(schema.Cardinality(column))
+                               : uint16_t{0x7fff};
+      SCOPED_TRACE("row " + std::to_string(row) + " column " +
+                   std::to_string(column) + " id " + std::to_string(bad));
+      write_cell(row, column, bad);
+      BinaryShardReader reader = *BinaryShardReader::Open(path, schema);
+      StatusOr<CategoricalTable> shard =
+          reader.ReadShard(std::numeric_limits<size_t>::max());
+      write_cell(row, column, table.Value(row, column));
+      ASSERT_FALSE(shard.ok());
+      const std::string& message = shard.status().message();
+      EXPECT_NE(message.find("row " + std::to_string(row) + ":"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("cell id " + std::to_string(bad) +
+                             " exceeds cardinality " +
+                             std::to_string(schema.Cardinality(column))),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("column '" + schema.attribute(column).name + "'"),
+                std::string::npos)
+          << message;
+    }
   }
-  BinaryShardReader reader = *BinaryShardReader::Open(path, table.schema());
-  StatusOr<CategoricalTable> shard =
+  // Restored, the file reads back whole.
+  BinaryShardReader reader = *BinaryShardReader::Open(path, schema);
+  StatusOr<CategoricalTable> clean =
       reader.ReadShard(std::numeric_limits<size_t>::max());
-  ASSERT_FALSE(shard.ok());
-  EXPECT_NE(shard.status().message().find("row 7"), std::string::npos);
-  EXPECT_NE(shard.status().message().find("cardinality"), std::string::npos);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  ExpectSameTable(*clean, table);
   std::remove(path.c_str());
 }
 

@@ -16,6 +16,11 @@
 //  5. BERNOULLI PARITY: every level's Bernoulli bit stream equals the
 //     sequential NextBernoulli(q) loop bit for bit, across lane and word
 //     tails and at probabilities on both sides of a threshold step.
+//  6. PCG64 BLOCK PARITY: every level's raw block equals n calls of Next(),
+//     and leaves the state where Advance(n) does.
+//  7. COLUMN DECODE PARITY: every level decodes a u16 cell column like a
+//     cell-at-a-time oracle and flags exactly the columns holding an id at
+//     or above the cardinality.
 
 #include "frapp/mining/kernels.h"
 
@@ -305,6 +310,91 @@ TEST(KernelsTest, BernoulliBitsMatchNextBernoulliLoopAtEveryLevel) {
               start.state(), start.increment(),
               random::Pcg64::BernoulliThreshold(q), n, got.data());
           EXPECT_EQ(got, want);
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, Pcg64BlockMatchesNextLoopAtEveryLevel) {
+  const uint64_t fill = 0xa5a5a5a5a5a5a5a5ull;
+  for (const random::Pcg64& start :
+       {random::Pcg64(42, 54), random::Pcg64(0x5eed, 3)}) {
+    for (size_t n : {0, 1, 15, 16, 17, 63, 64, 65, 1000, 65536}) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      std::vector<uint64_t> want(n + 1, fill);
+      random::Pcg64 oracle = start;
+      for (size_t i = 0; i < n; ++i) want[i] = oracle.Next();
+      random::Pcg64 advanced = start;
+      advanced.Advance(n);
+      for (KernelLevel level : SupportedLevels()) {
+        SCOPED_TRACE(KernelLevelName(level));
+        std::vector<uint64_t> got(n + 1, fill);
+        unsigned __int128 state = start.state();
+        KernelsForLevel(level).pcg64_block(&state, start.increment(), n,
+                                           got.data());
+        EXPECT_EQ(got, want);
+        EXPECT_TRUE(state == advanced.state());
+      }
+    }
+  }
+}
+
+TEST(KernelsTest, DecodeU16ColumnMatchesCellOracleAtEveryLevel) {
+  random::Pcg64 rng(0xdec0de);
+  for (size_t columns = 1; columns <= 9; ++columns) {
+    for (size_t rows : {0, 1, 15, 16, 17, 8192}) {
+      SCOPED_TRACE("columns=" + std::to_string(columns) +
+                   " rows=" + std::to_string(rows));
+      // Cardinalities 2..256 plus slack bytes the decode may read.
+      std::vector<uint32_t> cardinality(columns);
+      for (uint32_t& c : cardinality) {
+        c = 2 + static_cast<uint32_t>(rng.NextBounded(255));
+      }
+      const uint8_t slack = 0xee;
+      std::vector<uint8_t> cells(2 * rows * columns + 2, slack);
+      for (size_t i = 0; i < rows; ++i) {
+        for (size_t j = 0; j < columns; ++j) {
+          const uint64_t id = rng.NextBounded(cardinality[j]);
+          cells[2 * (i * columns + j)] = static_cast<uint8_t>(id);
+          cells[2 * (i * columns + j) + 1] = 0;
+        }
+      }
+      // Every level must agree with the oracle on clean cells, then on the
+      // same grid with one bad id planted in the last column: the smallest
+      // bad id, or one with its high byte set.
+      for (int planted = 0; planted < 2; ++planted) {
+        if (planted == 1) {
+          if (rows == 0) continue;
+          const size_t bad_row = static_cast<size_t>(rng.NextBounded(rows));
+          const uint32_t bad =
+              rows % 2 == 0 ? cardinality[columns - 1] : uint32_t{0x7fff};
+          const size_t at = 2 * (bad_row * columns + columns - 1);
+          cells[at] = static_cast<uint8_t>(bad);
+          cells[at + 1] = static_cast<uint8_t>(bad >> 8);
+        }
+        for (size_t j = 0; j < columns; ++j) {
+          std::vector<uint8_t> want(rows);
+          bool want_in_range = true;
+          for (size_t i = 0; i < rows; ++i) {
+            const uint32_t id = cells[2 * (i * columns + j)] |
+                                (uint32_t{cells[2 * (i * columns + j) + 1]} << 8);
+            want[i] = static_cast<uint8_t>(id);
+            want_in_range &= id < cardinality[j];
+          }
+          EXPECT_EQ(want_in_range, !(planted == 1 && j == columns - 1));
+          for (KernelLevel level : SupportedLevels()) {
+            SCOPED_TRACE(KernelLevelName(level));
+            std::vector<uint8_t> got(rows + 1, 0x5a);
+            const bool in_range = KernelsForLevel(level).decode_u16_column(
+                cells.data(), rows, columns, j, cardinality[j], got.data());
+            EXPECT_EQ(in_range, want_in_range) << "column " << j;
+            EXPECT_EQ(got[rows], 0x5a) << "wrote past the column";
+            if (want_in_range) {
+              got.resize(rows);
+              EXPECT_EQ(got, want) << "column " << j;
+            }
+          }
         }
       }
     }

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "frapp/core/seeded_chunking.h"
+#include "frapp/mining/kernels.h"
 
 namespace frapp {
 namespace random {
@@ -284,6 +285,58 @@ TEST(Pcg64KnownAnswerTest, NextBoundedRejectionLoopMatchesPinnedStream) {
     EXPECT_GT(consumed, 8u);
     EXPECT_EQ(s.rng.Next(), s.after_huge);
   }
+}
+
+// The block cursor the seeded gamma perturbers draw through must be the same
+// stream as Pcg64, draw for draw, at every kernel level: raw outputs,
+// doubles, and bounded integers, whose rejection loop consumes a variable
+// number of draws that may straddle a block boundary.
+TEST(BlockDrawCursorTest, MatchesPcg64DrawForDrawAcrossBlocksAtEveryLevel) {
+  const uint64_t bounds[] = {2, 5, 7, 255, kHugeBound};
+  for (mining::KernelLevel level :
+       {mining::KernelLevel::kScalar, mining::KernelLevel::kHarleySeal,
+        mining::KernelLevel::kAvx2, mining::KernelLevel::kAvx512}) {
+    if (!mining::KernelLevelSupported(level)) continue;
+    SCOPED_TRACE(mining::KernelLevelName(level));
+    mining::internal::SetActiveKernelsForTest(level);
+    for (const KnownStream& s : KnownStreams()) {
+      SCOPED_TRACE(s.name);
+      {
+        Pcg64 oracle = s.rng;
+        core::internal::BlockDrawCursor cursor(s.rng);
+        for (size_t i = 0; i < 5000; ++i) ASSERT_EQ(cursor.Next(), oracle.Next());
+      }
+      {
+        Pcg64 oracle = s.rng;
+        core::internal::BlockDrawCursor cursor(s.rng);
+        for (size_t i = 0; i < 5000; ++i) {
+          ASSERT_EQ(cursor.NextDouble(), oracle.NextDouble());
+        }
+      }
+      for (uint64_t bound : bounds) {
+        SCOPED_TRACE("bound=" + std::to_string(bound));
+        Pcg64 oracle = s.rng;
+        core::internal::BlockDrawCursor cursor(s.rng);
+        for (size_t i = 0; i < 5000; ++i) {
+          ASSERT_EQ(cursor.NextBounded(bound), oracle.NextBounded(bound));
+        }
+        ASSERT_EQ(cursor.Next(), oracle.Next());
+      }
+      {
+        // Interleaved rules, as a perturbed row mixes them.
+        Pcg64 oracle = s.rng;
+        core::internal::BlockDrawCursor cursor(s.rng);
+        for (size_t i = 0; i < 3000; ++i) {
+          const uint64_t bound = bounds[i % 5];
+          ASSERT_EQ(cursor.NextBounded(bound), oracle.NextBounded(bound));
+          ASSERT_EQ(cursor.NextDouble(), oracle.NextDouble());
+          ASSERT_EQ(cursor.NextBernoulli(0.3), oracle.NextBernoulli(0.3));
+        }
+        ASSERT_EQ(cursor.Next(), oracle.Next());
+      }
+    }
+  }
+  mining::internal::ResetActiveKernelsForTest();
 }
 
 }  // namespace

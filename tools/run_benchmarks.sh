@@ -1,11 +1,15 @@
 #!/usr/bin/env bash
 # Builds Release and maintains the perf-trajectory JSON files at the repo root.
 #
-# Usage: tools/run_benchmarks.sh [build-dir]
+# Usage: tools/run_benchmarks.sh [--suite NAME]... [build-dir]
 #
-#   build-dir   CMake build directory to (re)configure and build
-#               (default: <repo-root>/build)
-#   -h, --help  print this header and exit
+#   --suite NAME  run only this suite and append only to its trajectory;
+#                 repeatable (default: all six). NAME is the trajectory's
+#                 middle word: mining, perturbation, pipeline, ingest, dist
+#                 or incremental
+#   build-dir     CMake build directory to (re)configure and build
+#                 (default: <repo-root>/build)
+#   -h, --help    print this header and exit
 #
 # Maintained trajectories (see docs/BENCHMARKS.md for the full schema):
 #   BENCH_mining.json       — apriori_benchmark (vertical index vs scalar)
@@ -20,6 +24,9 @@
 #   BENCH_incremental.json  — incremental_benchmark (store-backed re-mine
 #                             after +10% / +1 / +4 / +16-chunk growth vs
 #                             the from-scratch pipeline, supmin sweep)
+#
+# Example: one forced-scalar row in BENCH_perturbation.json and no other file
+#   FRAPP_FORCE_KERNEL=scalar tools/run_benchmarks.sh --suite perturbation
 #
 # Each file holds {"runs": [<google-benchmark output>, ...]}: every
 # invocation APPENDS its run (with its context/date) to the trajectory
@@ -36,8 +43,8 @@
 # REFUSED at merge time so debug numbers can never pollute a trajectory.
 #
 # Knobs (environment):
-#   FRAPP_FORCE_KERNEL={scalar,avx2,avx512}
-#               force the intersect+popcount dispatch level for the run;
+#   FRAPP_FORCE_KERNEL={scalar,harley-seal,avx2,avx512}
+#               force the kernel-table dispatch level for the run;
 #               the level lands in the run's frapp_kernel_level /
 #               frapp_kernel_forced context keys. Unsupported levels fall
 #               back to the best the host can run (with a warning).
@@ -54,12 +61,43 @@ if [[ "${1:-}" == "-h" || "${1:-}" == "--help" ]]; then
 fi
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
-build_dir="${1:-$repo_root/build}"
+
+# Suite name -> benchmark binary; the trajectory is BENCH_<suite>.json.
+declare -A suite_binary=(
+  [mining]=apriori_benchmark
+  [perturbation]=perturbation_benchmark
+  [pipeline]=pipeline_benchmark
+  [ingest]=ingest_benchmark
+  [dist]=dist_benchmark
+  [incremental]=incremental_benchmark
+)
+all_suites=(mining perturbation pipeline ingest dist incremental)
+
+suites=()
+build_dir="$repo_root/build"
+while [[ $# -gt 0 ]]; do
+  case "$1" in
+    --suite)
+      if [[ -z "${2:-}" || -z "${suite_binary[${2}]:-}" ]]; then
+        echo "unknown suite '${2:-}' (want one of: ${all_suites[*]})" >&2
+        exit 2
+      fi
+      suites+=("$2")
+      shift 2
+      ;;
+    *)
+      build_dir="$1"
+      shift
+      ;;
+  esac
+done
+if [[ ${#suites[@]} -eq 0 ]]; then suites=("${all_suites[@]}"); fi
+
+targets=()
+for suite in "${suites[@]}"; do targets+=("${suite_binary[$suite]}"); done
 
 cmake -B "$build_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release
-cmake --build "$build_dir" -j"$(nproc)" \
-  --target apriori_benchmark perturbation_benchmark pipeline_benchmark \
-  ingest_benchmark dist_benchmark incremental_benchmark
+cmake --build "$build_dir" -j"$(nproc)" --target "${targets[@]}"
 
 # Appends the single-run google-benchmark JSON $2 to the trajectory file $1.
 merge_run() {
@@ -117,11 +155,10 @@ run_suite() {
   merge_run "$repo_root/$trajectory" "$tmp_dir/$benchmark.json"
 }
 
-run_suite apriori_benchmark BENCH_mining.json
-run_suite perturbation_benchmark BENCH_perturbation.json
-run_suite pipeline_benchmark BENCH_pipeline.json
-run_suite ingest_benchmark BENCH_ingest.json
-run_suite dist_benchmark BENCH_dist.json
-run_suite incremental_benchmark BENCH_incremental.json
+appended=()
+for suite in "${suites[@]}"; do
+  run_suite "${suite_binary[$suite]}" "BENCH_$suite.json"
+  appended+=("BENCH_$suite.json")
+done
 
-echo "Appended runs to BENCH_mining.json, BENCH_perturbation.json, BENCH_pipeline.json, BENCH_ingest.json, BENCH_dist.json, BENCH_incremental.json"
+echo "Appended runs to ${appended[*]}"
